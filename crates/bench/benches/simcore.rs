@@ -41,8 +41,10 @@ fn bench_divergence_sweep(c: &mut Criterion) {
 
     group.bench_function("packed_64_lane_4096_patterns", |b| {
         b.iter(|| {
-            let (words, _) = sim::emulate::po_divergence_words(&golden, &dut, &pairs, pats.clone())
-                .expect("sweep");
+            let mut work = sim::SimWork::default();
+            let (words, _) =
+                sim::emulate::po_divergence_words(&golden, &dut, &pairs, pats.clone(), &mut work)
+                    .expect("sweep");
             black_box(words)
         });
     });

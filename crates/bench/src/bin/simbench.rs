@@ -33,9 +33,9 @@
 //! `<base>.trace.json` (Chrome trace-event JSON with one span per
 //! (design, workload) row — loadable at ui.perfetto.dev),
 //! `<base>.trace.jsonl` (raw span rows), and `<base>.metrics.prom`
-//! (the packed core's sweep/word/lane counters plus per-row pattern
-//! totals). A bare stem collects under the gitignored `artifacts/`
-//! directory.
+//! (the sweep/word/lane work the bench's packed engines report, plus
+//! per-row pattern totals). A bare stem collects under the gitignored
+//! `artifacts/` directory.
 
 // CLI/example output goes to stdout by design.
 #![allow(clippy::print_stdout)]
@@ -46,7 +46,7 @@ use std::time::Instant;
 use netlist::{CellId, Netlist};
 use obs::{MetricsRegistry, Tracer};
 use sim::inject::{inject, random_error, DesignErrorKind};
-use sim::{PackedSimulator, PatternGen, Simulator, LANES};
+use sim::{PackedSimulator, PatternGen, SimWork, Simulator, LANES};
 use synth::PaperDesign;
 
 /// One (design, workload) comparison row.
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .as_deref()
         .map(|_| (Tracer::new(), MetricsRegistry::new()));
     let track = observe.as_ref().map(|(tracer, _)| tracer.track("simbench"));
-    let sim_before = sim::counters::snapshot();
+    let mut sim_work = SimWork::default();
 
     let mut rows: Vec<Row> = Vec::new();
     for &design in designs {
@@ -117,7 +117,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .as_ref()
             .map(|(tracer, _)| tracer.now_us())
             .unwrap_or(0);
-        rows.push(detect_row(design, &golden, &dut, &pats)?);
+        rows.push(detect_row(design, &golden, &dut, &pats, &mut sim_work)?);
         row_span(
             &observe,
             track,
@@ -130,7 +130,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .as_ref()
             .map(|(tracer, _)| tracer.now_us())
             .unwrap_or(0);
-        rows.push(faultsim_row(design, &golden, &pats, max_cand)?);
+        rows.push(faultsim_row(
+            design,
+            &golden,
+            &pats,
+            max_cand,
+            &mut sim_work,
+        )?);
         row_span(
             &observe,
             track,
@@ -161,10 +167,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("machine-readable results written to {path}");
 
     if let (Some(base), Some((tracer, registry))) = (&trace_base, &observe) {
-        let sim_delta = sim::counters::snapshot().delta_since(&sim_before);
-        registry.counter_add("sim_sweeps_total", &[], sim_delta.sweeps);
-        registry.counter_add("sim_net_words_total", &[], sim_delta.net_words);
-        registry.counter_add("sim_lanes_loaded_total", &[], sim_delta.lanes_loaded);
+        registry.counter_add("sim_sweeps_total", &[], sim_work.sweeps);
+        registry.counter_add("sim_net_words_total", &[], sim_work.net_words);
+        registry.counter_add("sim_lanes_loaded_total", &[], sim_work.lanes_loaded);
         let base = obs::artifact_base(base)?;
         let base = base.display();
         std::fs::write(format!("{base}.trace.json"), tracer.to_chrome_trace())?;
@@ -209,6 +214,7 @@ fn detect_row(
     golden: &Netlist,
     dut: &Netlist,
     pats: &[Vec<bool>],
+    work: &mut SimWork,
 ) -> Result<Row, Box<dyn std::error::Error>> {
     let seq = golden.is_sequential();
     let pairs: Vec<(usize, usize)> = (0..golden.primary_outputs().len())
@@ -241,7 +247,8 @@ fn detect_row(
 
     // Packed: the production evidence-collection path.
     let t = Instant::now();
-    let (pwords, count) = sim::emulate::po_divergence_words(golden, dut, &pairs, pats.to_vec())?;
+    let (pwords, count) =
+        sim::emulate::po_divergence_words(golden, dut, &pairs, pats.to_vec(), work)?;
     let packed_pps = count as f64 / t.elapsed().as_secs_f64();
     // `po_divergence_words` trims nothing but may leave short vectors
     // for clean tails; pad to the scalar layout before comparing.
@@ -283,6 +290,7 @@ fn faultsim_row(
     golden: &Netlist,
     pats: &[Vec<bool>],
     max_cand: usize,
+    work: &mut SimWork,
 ) -> Result<Row, Box<dyn std::error::Error>> {
     let seq = golden.is_sequential();
     let n_po = golden.primary_outputs().len();
@@ -344,9 +352,9 @@ fn faultsim_row(
     // candidate fault machines per stream pass (sequential).
     let t = Instant::now();
     let packed_fps = if seq {
-        packed_faultsim_seq(golden, &cands, pats, n_po)?
+        packed_faultsim_seq(golden, &cands, pats, n_po, work)?
     } else {
-        packed_faultsim_comb(golden, &cands, pats, n_po)?
+        packed_faultsim_comb(golden, &cands, pats, n_po, work)?
     };
     let packed_pps = evals / t.elapsed().as_secs_f64();
 
@@ -377,6 +385,7 @@ fn packed_faultsim_comb(
     cands: &[CellId],
     pats: &[Vec<bool>],
     n_po: usize,
+    work: &mut SimWork,
 ) -> Result<Vec<Footprint>, Box<dyn std::error::Error>> {
     let mut sim = PackedSimulator::new(golden)?;
     let chunks: Vec<&[Vec<bool>]> = pats.chunks(LANES).collect();
@@ -410,6 +419,7 @@ fn packed_faultsim_comb(
         sim.clear_faults();
         out.push((onset, hit));
     }
+    *work += sim.work();
     Ok(out)
 }
 
@@ -422,6 +432,7 @@ fn packed_faultsim_seq(
     cands: &[CellId],
     pats: &[Vec<bool>],
     n_po: usize,
+    work: &mut SimWork,
 ) -> Result<Vec<Footprint>, Box<dyn std::error::Error>> {
     // Fault-free stream first: one broadcast pass records each
     // output's golden bit per cycle, pre-broadcast to a full word.
@@ -471,6 +482,7 @@ fn packed_faultsim_seq(
             out.push((onset, hits.iter().map(|h| h >> i & 1 == 1).collect()));
         }
     }
+    *work += sim.work();
     Ok(out)
 }
 

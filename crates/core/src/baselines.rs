@@ -11,7 +11,7 @@ use netlist::CellId;
 use crate::effort::CadEffort;
 use crate::error::TilingError;
 use crate::flow::TiledDesign;
-use crate::flows::{FullReplaceFlow, IncrementalFlow, QuickEcoFlow, ReimplFlow};
+use crate::flows::{FullReplaceFlow, ReimplFlow};
 
 /// Prices `flow` on a clone of the design: the clone is
 /// re-implemented, the caller's design is untouched, and only the
@@ -39,55 +39,11 @@ pub fn full_replace_effort(td: &TiledDesign) -> Result<CadEffort, TilingError> {
     flow_effort(td, &mut FullReplaceFlow, &[])
 }
 
-/// Incremental place-and-route: no locked interfaces, so the tool
-/// re-places everything inside an *inflated* window around the change
-/// (it needs room to shuffle surrounding logic) and fully re-routes
-/// every net that touches the window.
-///
-/// `margin` is the inflation in CLBs on each side (2 by default in the
-/// benches; bigger changes disturb more of their surroundings).
-///
-/// # Errors
-///
-/// Propagates placement/routing failures.
-pub fn incremental_effort(
-    td: &TiledDesign,
-    seeds: &[CellId],
-    extra_clbs: usize,
-    margin: u16,
-) -> Result<CadEffort, TilingError> {
-    flow_effort(td, &mut IncrementalFlow { margin, extra_clbs }, seeds)
-}
-
-/// Quick_ECO: change tracking stops at the netlist level, so the
-/// re-implemented unit is the *functional block* — the hierarchy
-/// children of the root. For the paper's experiments "each design
-/// will be considered the size of one functional block" (§6), which
-/// `whole_design_as_block` reproduces; with `false` the real hierarchy
-/// blocks of our generators are used instead.
-///
-/// # Errors
-///
-/// Propagates placement/routing failures.
-pub fn quick_eco_effort(
-    td: &TiledDesign,
-    seeds: &[CellId],
-    whole_design_as_block: bool,
-) -> Result<CadEffort, TilingError> {
-    flow_effort(
-        td,
-        &mut QuickEcoFlow {
-            whole_design_as_block,
-        },
-        seeds,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flow::{implement, TilingOptions};
-    use crate::flows::{standard_flows, TiledFlow};
+    use crate::flows::{standard_flows, IncrementalFlow, QuickEcoFlow, TiledFlow};
     use synth::PaperDesign;
 
     #[test]
@@ -165,8 +121,14 @@ mod tests {
             .find(|(_, c)| c.lut_function().is_some())
             .map(|(id, _)| id)
             .unwrap();
-        let whole = quick_eco_effort(&td, &[victim], true).unwrap();
-        let blocks = quick_eco_effort(&td, &[victim], false).unwrap();
+        let quick_eco = |whole_design_as_block| {
+            let mut flow = QuickEcoFlow {
+                whole_design_as_block,
+            };
+            flow_effort(&td, &mut flow, &[victim]).unwrap()
+        };
+        let whole = quick_eco(true);
+        let blocks = quick_eco(false);
         assert!(blocks.total() <= whole.total());
     }
 
@@ -182,8 +144,8 @@ mod tests {
             .unwrap();
         let placement_before: Vec<_> = td.placement.iter().collect();
         let _ = full_replace_effort(&td).unwrap();
-        let _ = incremental_effort(&td, &[victim], 0, 2).unwrap();
-        let _ = quick_eco_effort(&td, &[victim], true).unwrap();
+        let _ = flow_effort(&td, &mut IncrementalFlow::default(), &[victim]).unwrap();
+        let _ = flow_effort(&td, &mut QuickEcoFlow::default(), &[victim]).unwrap();
         let placement_after: Vec<_> = td.placement.iter().collect();
         assert_eq!(placement_before, placement_after);
     }

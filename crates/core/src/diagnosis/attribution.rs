@@ -27,7 +27,7 @@ use std::collections::HashMap;
 
 use netlist::{CellId, Netlist, NetlistError};
 use sim::patterns::PatternGen;
-use sim::{PackedSimulator, LANES};
+use sim::{PackedSimulator, SimWork, LANES};
 
 use super::cone::SuspectCone;
 
@@ -143,7 +143,8 @@ impl ResponseMatrix {
 /// clocked once per pattern without reset, as in
 /// [`sim::emulate::first_mismatch`]. Unlike `first_mismatch` the
 /// sweep does **not** stop at the first divergence — multi-error
-/// diagnosis needs the whole footprint.
+/// diagnosis needs the whole footprint. The sweep's simulation work
+/// is added to `work`.
 ///
 /// # Errors
 ///
@@ -152,10 +153,11 @@ pub fn collect_responses(
     golden: &Netlist,
     dut: &Netlist,
     patterns: PatternGen,
+    work: &mut SimWork,
 ) -> Result<ResponseMatrix, NetlistError> {
     let outputs = golden.primary_outputs();
     let pairs = po_pairs(golden, dut)?;
-    let (words, count) = sim::emulate::po_divergence_words(golden, dut, &pairs, patterns)?;
+    let (words, count) = sim::emulate::po_divergence_words(golden, dut, &pairs, patterns, work)?;
     let mut signatures = vec![ResponseSignature::default(); outputs.len()];
     for (&(gk, _), w) in pairs.iter().zip(words) {
         signatures[gk] = ResponseSignature::from_words(w);
@@ -283,6 +285,9 @@ pub struct FaultAttribution<'a> {
     sequential: bool,
     /// Cache: candidate cell → predicted failing-PO mask.
     cache: HashMap<CellId, Vec<bool>>,
+    /// Work of the worker-local engines pooled primes ran (the
+    /// persistent engine counts its own).
+    pooled_work: SimWork,
 }
 
 impl<'a> FaultAttribution<'a> {
@@ -323,7 +328,17 @@ impl<'a> FaultAttribution<'a> {
             golden_po_words,
             sequential,
             cache: HashMap::new(),
+            pooled_work: SimWork::default(),
         })
+    }
+
+    /// Simulation work done so far: the persistent engine's plus that
+    /// of every worker-local engine a pooled
+    /// [`prime_with_workers`](Self::prime_with_workers) compiled.
+    pub fn work(&self) -> SimWork {
+        let mut work = self.psim.work();
+        work += self.pooled_work;
+        work
     }
 
     /// Fills the prediction cache for every candidate in one packed
@@ -389,15 +404,18 @@ impl<'a> FaultAttribution<'a> {
             let po_words = &self.golden_po_words;
             let swept = parallel::map(workers.min(units.len()), units, |unit| {
                 let mut psim = PackedSimulator::new(golden)?;
-                if sequential {
-                    sweep_candidate_batch(&mut psim, patterns, po_words, &unit)
+                let masks = if sequential {
+                    sweep_candidate_batch(&mut psim, patterns, po_words, &unit)?
                 } else {
-                    sweep_candidate_patterns(&mut psim, patterns, po_words, unit[0])
-                        .map(|mask| vec![(unit[0], mask)])
-                }
+                    let mask = sweep_candidate_patterns(&mut psim, patterns, po_words, unit[0])?;
+                    vec![(unit[0], mask)]
+                };
+                Ok::<_, NetlistError>((masks, psim.work()))
             });
             for unit in swept {
-                for (c, mask) in unit? {
+                let (masks, work) = unit?;
+                self.pooled_work += work;
+                for (c, mask) in masks {
                     self.cache.insert(c, mask);
                 }
             }
@@ -586,7 +604,8 @@ mod tests {
         let u1 = dut.find_cell("u1").unwrap();
         inject(&mut dut, u0, DesignErrorKind::FlipRow { row: 3 }).unwrap();
         inject(&mut dut, u1, DesignErrorKind::Complement).unwrap();
-        let m = collect_responses(&golden, &dut, PatternGen::exhaustive(3)).unwrap();
+        let mut work = SimWork::default();
+        let m = collect_responses(&golden, &dut, PatternGen::exhaustive(3), &mut work).unwrap();
         assert_eq!(m.patterns, 8);
         assert_eq!(m.failing().len(), 2, "both outputs must fail");
         // y0 fails only on a=b=1 (2 of 8 patterns); y1 on all 8.
@@ -609,7 +628,8 @@ mod tests {
         let mut dut = golden.clone();
         let u1 = dut.find_cell("u1").unwrap();
         inject(&mut dut, u1, DesignErrorKind::Complement).unwrap();
-        let m = collect_responses(&golden, &dut, PatternGen::exhaustive(3)).unwrap();
+        let mut work = SimWork::default();
+        let m = collect_responses(&golden, &dut, PatternGen::exhaustive(3), &mut work).unwrap();
         let clusters = cluster_failures(&golden, &m);
         assert_eq!(clusters.len(), 1);
         let cl = &clusters[0];
@@ -629,7 +649,8 @@ mod tests {
     #[test]
     fn clean_design_yields_no_clusters() {
         let golden = two_cone_design();
-        let m = collect_responses(&golden, &golden.clone(), PatternGen::exhaustive(3)).unwrap();
+        let mut work = SimWork::default();
+        let m = collect_responses(&golden, &golden, PatternGen::exhaustive(3), &mut work).unwrap();
         assert!(m.failing().is_empty());
         assert!(cluster_failures(&golden, &m).is_empty());
     }
@@ -652,5 +673,24 @@ mod tests {
         // Non-LUT candidates predict nothing and score zero.
         let a = golden.find_cell("a").unwrap();
         assert_eq!(att.blame_score(a, &observed).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn pooled_prime_reports_the_same_work_as_serial() {
+        let golden = two_cone_design();
+        let pats: Vec<Vec<bool>> = PatternGen::exhaustive(3).collect();
+        let cands = [
+            golden.find_cell("u0").unwrap(),
+            golden.find_cell("u1").unwrap(),
+        ];
+        let primed = |workers| {
+            let mut att = FaultAttribution::new(&golden, &pats).unwrap();
+            att.prime_with_workers(&cands, workers).unwrap();
+            att.work()
+        };
+        let serial = primed(1);
+        // The golden trace plus one pattern-parallel pass per candidate.
+        assert_eq!(serial.sweeps, 3);
+        assert_eq!(primed(4), serial);
     }
 }

@@ -15,10 +15,11 @@
 //! ones.
 
 use std::collections::BTreeSet;
+use std::ops::AddAssign;
 
 use fpga::{NodeId, RouteTree};
 use netlist::{CellId, CellKind, NetId};
-use place::Constraints;
+use place::{Constraints, PlaceEngine};
 use route::{ConnectionRequest, RouteOptions};
 
 use crate::affected::{AffectedSet, ExpansionPolicy};
@@ -28,10 +29,21 @@ use crate::flow::TiledDesign;
 use crate::interface::{split_tree, RegionSet};
 
 /// Result of one tile-confined re-implementation.
+///
+/// Besides the CAD effort it reports the breakdown a debug session
+/// sums into its work counters: which placement engine spent
+/// `effort.place_moves`, how many of those were conjugate-gradient
+/// iterations, and whether the `rerouted_nets` were ripped
+/// incrementally or whole.
 #[derive(Debug, Clone)]
 pub struct EcoPhysicalOutcome {
     /// CAD effort spent (Figure 5's numerator for the tiled flow).
     pub effort: CadEffort,
+    /// The placement engine behind `effort.place_moves`.
+    pub place_engine: PlaceEngine,
+    /// Conjugate-gradient iterations the analytical engine spent
+    /// (already folded into `effort.place_moves`).
+    pub cg_iterations: u64,
     /// Which tiles were cleared.
     pub affected: AffectedSet,
     /// Logic cells re-placed.
@@ -44,6 +56,24 @@ pub struct EcoPhysicalOutcome {
     /// non-tiled flows) legitimately clear routes everywhere and
     /// report `false`; the post-ECO audit only applies when `true`.
     pub confined: bool,
+    /// Whether the re-route took the truly incremental path (surviving
+    /// route trees kept and seeded) rather than ripping whole nets.
+    pub incremental_routing: bool,
+}
+
+/// Placer/router work an attempt has spent so far — charged to the
+/// outcome even when the attempt fails.
+#[derive(Debug, Clone, Copy, Default)]
+struct Spent {
+    effort: CadEffort,
+    cg_iterations: u64,
+}
+
+impl AddAssign for Spent {
+    fn add_assign(&mut self, rhs: Spent) {
+        self.effort += rhs.effort;
+        self.cg_iterations += rhs.cg_iterations;
+    }
 }
 
 /// Clears the tiles affected by a change and re-implements them.
@@ -94,7 +124,7 @@ pub fn replace_and_route(
     let placement_snapshot = td.placement.clone();
     let routing_snapshot = td.routing.clone();
     let mut tiles = affected.tiles.clone();
-    let mut wasted = CadEffort::default();
+    let mut wasted = Spent::default();
     let mut retries = 0usize;
     // The truly incremental path goes first: nothing is cleared, only
     // missing connections are routed. One shot — if the surviving
@@ -109,7 +139,8 @@ pub fn replace_and_route(
         };
         match result {
             Ok(mut outcome) => {
-                outcome.effort += wasted;
+                outcome.effort += wasted.effort;
+                outcome.cg_iterations += wasted.cg_iterations;
                 // Debug builds re-prove the paper's contract after
                 // every confined ECO: everything outside the cleared
                 // tiles — placements and cross-boundary routes — is
@@ -186,14 +217,15 @@ pub fn replace_and_route(
                     td.routing = routing_snapshot.clone();
                     TilingError::Route(e)
                 })?;
-                wasted.route_expansions += stats.expansions;
-                route::counters::record_full_rips(td.routing.num_routed() as u64);
+                wasted.effort.route_expansions += stats.expansions;
                 let mut free_clbs = 0;
                 for &t in &tiles {
                     free_clbs += td.plan.usage(t, &td.placement)?.free_clbs();
                 }
                 return Ok(EcoPhysicalOutcome {
-                    effort: wasted,
+                    effort: wasted.effort,
+                    place_engine: td.options.placer.engine,
+                    cg_iterations: wasted.cg_iterations,
                     affected: AffectedSet {
                         tiles,
                         needed_clbs: extra_clbs,
@@ -203,6 +235,7 @@ pub fn replace_and_route(
                     replaced_cells: td.netlist.cells().filter(|(_, c)| c.is_logic()).count(),
                     rerouted_nets: td.routing.num_routed(),
                     confined: false,
+                    incremental_routing: false,
                 });
             }
             Err((TilingError::Route(_), spent)) if tiles.len() < td.plan.len() => {
@@ -293,8 +326,8 @@ fn attempt_incremental(
     tiles: &[crate::tile::TileId],
     added: &[CellId],
     extra_clbs: usize,
-) -> Result<EcoPhysicalOutcome, (TilingError, CadEffort)> {
-    let mut spent = CadEffort::default();
+) -> Result<EcoPhysicalOutcome, (TilingError, Spent)> {
+    let mut spent = Spent::default();
     attempt_incremental_inner(td, tiles, added, extra_clbs, &mut spent).map_err(|e| (e, spent))
 }
 
@@ -303,7 +336,7 @@ fn attempt_incremental_inner(
     tiles: &[crate::tile::TileId],
     added: &[CellId],
     extra_clbs: usize,
-    spent: &mut CadEffort,
+    spent: &mut Spent,
 ) -> Result<EcoPhysicalOutcome, TilingError> {
     let mut free_clbs = 0;
     for &t in tiles {
@@ -324,8 +357,6 @@ fn attempt_incremental_inner(
     // Retired instruments lose their placements/routes first, so their
     // resources are genuinely free for the new connections.
     crate::flow::drop_stale_physical_state(td);
-
-    let mut effort = CadEffort::default();
 
     // ----- Place only the added logic ------------------------------
     let added_logic: Vec<CellId> = added
@@ -354,8 +385,8 @@ fn attempt_incremental_inner(
             &td.options.placer,
         )?;
         td.placement = out.placement;
-        spent.place_moves += out.moves_evaluated;
-        effort.place_moves += out.moves_evaluated;
+        spent.effort.place_moves += out.moves_evaluated;
+        spent.cg_iterations += out.cg_iterations;
     }
 
     // ----- Minimal routing work list --------------------------------
@@ -457,10 +488,8 @@ fn attempt_incremental_inner(
     // negotiate only among themselves on genuinely free resources.
     if !requests.is_empty() {
         let stats = route::route(&td.rrg, &requests, &mut td.routing, &td.options.router)?;
-        effort.route_expansions += stats.expansions;
-        spent.route_expansions += stats.expansions;
+        spent.effort.route_expansions += stats.expansions;
     }
-    route::counters::record_incremental_rips(touched.len() as u64);
 
     route::normalize_routes(
         &td.netlist,
@@ -471,11 +500,14 @@ fn attempt_incremental_inner(
     );
 
     Ok(EcoPhysicalOutcome {
-        effort,
+        effort: spent.effort,
+        place_engine: td.options.placer.engine,
+        cg_iterations: spent.cg_iterations,
         affected,
         replaced_cells: added_logic.len(),
         rerouted_nets: touched.len(),
         confined: true,
+        incremental_routing: true,
     })
 }
 
@@ -488,8 +520,8 @@ fn attempt(
     tiles: &[crate::tile::TileId],
     added: &[CellId],
     extra_clbs: usize,
-) -> Result<EcoPhysicalOutcome, (TilingError, CadEffort)> {
-    let mut spent = CadEffort::default();
+) -> Result<EcoPhysicalOutcome, (TilingError, Spent)> {
+    let mut spent = Spent::default();
     attempt_inner(td, tiles, added, extra_clbs, &mut spent).map_err(|e| (e, spent))
 }
 
@@ -498,7 +530,7 @@ fn attempt_inner(
     tiles: &[crate::tile::TileId],
     added: &[CellId],
     extra_clbs: usize,
-    spent: &mut CadEffort,
+    spent: &mut Spent,
 ) -> Result<EcoPhysicalOutcome, TilingError> {
     let mut free_clbs = 0;
     for &t in tiles {
@@ -565,11 +597,8 @@ fn attempt_inner(
         &td.options.placer,
     )?;
     td.placement = out.placement;
-    spent.place_moves += out.moves_evaluated;
-    let mut effort = CadEffort {
-        place_moves: out.moves_evaluated,
-        route_expansions: 0,
-    };
+    spent.effort.place_moves += out.moves_evaluated;
+    spent.cg_iterations += out.cg_iterations;
     let _ = added_io;
 
     // Coarse-granularity path: when the cleared region covers a large
@@ -592,18 +621,19 @@ fn attempt_inner(
             &mut td.routing,
             &td.options.router,
         )?;
-        effort.route_expansions += stats.expansions;
-        spent.route_expansions += stats.expansions;
+        spent.effort.route_expansions += stats.expansions;
         let all: Vec<NetId> = td.netlist.nets().map(|(id, _)| id).collect();
         let n_rerouted = all.len();
-        route::counters::record_full_rips(n_rerouted as u64);
         route::normalize_routes(&td.netlist, &td.placement, &td.rrg, &mut td.routing, all);
         return Ok(EcoPhysicalOutcome {
-            effort,
+            effort: spent.effort,
+            place_engine: td.options.placer.engine,
+            cg_iterations: spent.cg_iterations,
             affected,
             replaced_cells: to_replace.len(),
             rerouted_nets: n_rerouted,
             confined: false,
+            incremental_routing: false,
         });
     }
 
@@ -794,17 +824,13 @@ fn attempt_inner(
             ..td.options.router.clone()
         };
         let stats = route::route(&td.rrg, &masked_requests, &mut td.routing, &opts)?;
-        effort.route_expansions += stats.expansions;
-        spent.route_expansions += stats.expansions;
+        spent.effort.route_expansions += stats.expansions;
     }
     // ----- Free pass: region-escaping connections --------------------
     if !free_requests.is_empty() {
         let stats = route::route(&td.rrg, &free_requests, &mut td.routing, &td.options.router)?;
-        effort.route_expansions += stats.expansions;
-        spent.route_expansions += stats.expansions;
+        spent.effort.route_expansions += stats.expansions;
     }
-
-    route::counters::record_full_rips(rerouted.len() as u64);
 
     // Normalize the rerouted nets' trees: one contiguous source→sink
     // path per netlist sink, in sink order, so downstream timing
@@ -818,11 +844,14 @@ fn attempt_inner(
     );
 
     Ok(EcoPhysicalOutcome {
-        effort,
+        effort: spent.effort,
+        place_engine: td.options.placer.engine,
+        cg_iterations: spent.cg_iterations,
         affected,
         replaced_cells: to_replace.len(),
         rerouted_nets: rerouted.len(),
         confined: true,
+        incremental_routing: false,
     })
 }
 

@@ -161,10 +161,13 @@ impl ReimplFlow for FullReplaceFlow {
                 place_moves: out.moves_evaluated,
                 route_expansions: stats.expansions,
             },
+            place_engine: td.options.placer.engine,
+            cg_iterations: out.cg_iterations,
             affected: whole_design_affected(td)?,
             replaced_cells: replaced,
             rerouted_nets: td.routing.num_routed(),
             confined: false,
+            incremental_routing: false,
         })
     }
 }
@@ -487,6 +490,8 @@ fn reimplement_subset_inner(
     }
     Ok(EcoPhysicalOutcome {
         effort,
+        place_engine: td.options.placer.engine,
+        cg_iterations: out.cg_iterations,
         affected: AffectedSet {
             tiles,
             needed_clbs: 0,
@@ -496,6 +501,7 @@ fn reimplement_subset_inner(
         replaced_cells: moved.len(),
         rerouted_nets: work.len(),
         confined: false,
+        incremental_routing: false,
     })
 }
 

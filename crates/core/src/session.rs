@@ -2,9 +2,7 @@
 //! localize → confirm → correct through a pluggable physical flow and
 //! localization strategy (paper §3.1 steps 9–22).
 //!
-//! [`DebugSession`] generalizes the old monolithic
-//! `run_debug_iteration` (which survives as a thin wrapper in
-//! [`crate::debug`]):
+//! [`DebugSession`] drives the whole iteration:
 //!
 //! * the physical re-implementation behind every ECO is a
 //!   [`ReimplFlow`], so the same campaign can be priced through the
@@ -18,16 +16,22 @@
 //!   point ([`sim::emulate::net_first_divergences`]);
 //! * progress is emitted as a typed [`DebugEvent`] stream;
 //! * effort is recorded per phase in an [`EffortLedger`] that
-//!   [`crate::report::DebugReport`] and the bench bins consume.
+//!   [`crate::report::DebugReport`] and the bench bins consume;
+//! * the simulation, placement and routing work every sweep and ECO
+//!   returns is summed per session and emitted once into the attached
+//!   metrics registry, so concurrent sessions never see each other's
+//!   work.
 
 use std::collections::HashMap;
 
 use netlist::{CellId, NetId, Netlist};
 use obs::{MetricsRegistry, Tracer, TrackId};
+use place::PlaceEngine;
 use sim::emulate::Mismatch;
 use sim::inject::InjectedError;
 use sim::patterns::PatternGen;
 use sim::testlogic::{insert_control_point, insert_observation_tap};
+use sim::SimWork;
 
 use crate::diagnosis::attribution::po_pairs;
 use crate::diagnosis::scheduler::Ambiguity;
@@ -36,6 +40,7 @@ use crate::diagnosis::{
     FailureCluster, FaultAttribution, MultiErrorScheduler, ResponseMatrix, ResponseSignature,
     SuspectCone,
 };
+use crate::eco_flow::EcoPhysicalOutcome;
 use crate::effort::{CadEffort, EffortLedger, Phase};
 use crate::error::TilingError;
 use crate::flow::TiledDesign;
@@ -344,6 +349,7 @@ pub struct DebugSession<'a> {
     metrics: Option<&'a MetricsRegistry>,
     trace: Option<(&'a Tracer, TrackId)>,
     preflighted: bool,
+    work: SessionWork,
 }
 
 impl<'a> DebugSession<'a> {
@@ -363,6 +369,7 @@ impl<'a> DebugSession<'a> {
             metrics: None,
             trace: None,
             preflighted: false,
+            work: SessionWork::default(),
         }
     }
 
@@ -427,7 +434,10 @@ impl<'a> DebugSession<'a> {
     /// Attaches a metrics registry: the session records its
     /// deterministic per-phase effort counters
     /// (`session_phase_*_total{phase=…}`) and evidence-layer counters
-    /// (`evidence_*_total`) into it as it runs.
+    /// (`evidence_*_total`) into it as it runs, and its summed
+    /// simulation, placement and routing work (`sim_*_total`,
+    /// `place_*_total`, `route_nets_ripped_total`) once, when the
+    /// session is dropped.
     #[must_use]
     pub fn metrics(mut self, registry: &'a MetricsRegistry) -> Self {
         self.metrics = Some(registry);
@@ -518,6 +528,18 @@ impl<'a> DebugSession<'a> {
         self.patterns.generate(nl, self.seed)
     }
 
+    /// One ECO through the session flow, its placement and routing
+    /// work summed into the session's.
+    fn reimplement(
+        &mut self,
+        seeds: &[CellId],
+        added: &[CellId],
+    ) -> Result<EcoPhysicalOutcome, TilingError> {
+        let phys = self.flow.reimplement(self.td, seeds, added)?;
+        self.work.add_eco(&phys);
+        Ok(phys)
+    }
+
     /// The DRC pre-flight, run once per session before any entry
     /// point touches the design: a structurally broken DUT (cyclic,
     /// multi-driven, dangling routes, …) gets a typed
@@ -586,6 +608,7 @@ impl<'a> DebugSession<'a> {
             self.golden,
             &self.td.netlist,
             self.patterns_for(self.golden),
+            &mut self.work.sim,
         )?;
         let mismatch = matrix_mismatch(self.golden, &matrix)?;
         self.phase_mark(Phase::Detect, t_detect, detect_before, &outcome.ledger);
@@ -730,7 +753,7 @@ impl<'a> DebugSession<'a> {
         let correct_before = outcome.ledger;
         let fix = sim::inject::repair_op(error);
         let rep = netlist::eco::apply(&mut self.td.netlist, &fix)?;
-        let phys = self.flow.reimplement(self.td, &rep.touched(), &[])?;
+        let phys = self.reimplement(&rep.touched(), &[])?;
         outcome
             .ledger
             .charge(Phase::Correct, phys.effort, phys.affected.tiles.len());
@@ -949,6 +972,7 @@ impl<'a> DebugSession<'a> {
             self.golden,
             &self.td.netlist,
             self.patterns_for(self.golden),
+            &mut self.work.sim,
         )?;
         let raw_clusters = cluster_failures(self.golden, &matrix);
         self.phase_mark(Phase::Detect, t_detect, detect_before, &outcome.ledger);
@@ -993,6 +1017,7 @@ impl<'a> DebugSession<'a> {
             // stream pass instead of one hypothesis netlist each.
             let amb_cells: Vec<CellId> = diagnosis.ambiguities.iter().map(|a| a.cell).collect();
             attribution.prime(&amb_cells)?;
+            self.work.sim += attribution.work();
             let pos = self.golden.primary_outputs();
             let failing_masks: Vec<Vec<bool>> = clusters
                 .iter()
@@ -1056,7 +1081,7 @@ impl<'a> DebugSession<'a> {
         }
         seeds.sort_unstable();
         seeds.dedup();
-        let phys = self.flow.reimplement(self.td, &seeds, &[])?;
+        let phys = self.reimplement(&seeds, &[])?;
         let tiles = phys.affected.tiles.len();
         outcome.ledger.charge(Phase::Correct, phys.effort, tiles);
         let even = vec![1usize; n];
@@ -1340,7 +1365,7 @@ impl<'a> DebugSession<'a> {
             .iter()
             .map(|&cell| netlist::EcoOp::RemoveCell { cell })
             .collect();
-        let phys = match self.flow.reimplement(self.td, batch, &added) {
+        let phys = match self.reimplement(batch, &added) {
             Ok(phys) => phys,
             Err(e) => {
                 // The flow restored placement/routing; retire the
@@ -1354,8 +1379,13 @@ impl<'a> DebugSession<'a> {
             cells: batch.to_vec(),
             effort: phys.effort,
         });
-        let onsets =
-            sim::emulate::net_first_divergences(self.golden, &self.td.netlist, &nets, pats)?;
+        let onsets = sim::emulate::net_first_divergences(
+            self.golden,
+            &self.td.netlist,
+            &nets,
+            pats,
+            &mut self.work.sim,
+        )?;
         self.emit(DebugEvent::Observed {
             diverging: batch
                 .iter()
@@ -1449,7 +1479,7 @@ impl<'a> DebugSession<'a> {
         // iteration in a campaign.
         let base = unique_cp_name(&self.td.netlist, suspect);
         let cp = insert_control_point(&mut self.td.netlist, net, &base)?;
-        let phys = match self.flow.reimplement(self.td, &[suspect], &cp.report.added) {
+        let phys = match self.reimplement(&[suspect], &cp.report.added) {
             Ok(phys) => phys,
             Err(e) => {
                 // The flow restored placement/routing; retire the
@@ -1463,12 +1493,14 @@ impl<'a> DebugSession<'a> {
         // DUT inputs: golden pattern, then [force_val, force_en] (the
         // two new PIs append to the input order); the packed sweep
         // drives force_val with the golden model's word for `net`.
+        let pairs = self.po_pairs_for(outputs)?;
         let confirmed = sim::emulate::forced_outputs_equivalent(
             self.golden,
             &self.td.netlist,
             net,
-            &self.po_pairs_for(outputs)?,
+            &pairs,
             self.patterns_for(self.golden).take(256),
+            &mut self.work.sim,
         )?;
 
         self.retire_control_point(&cp, net)?;
@@ -1511,15 +1543,84 @@ impl<'a> DebugSession<'a> {
     /// so a plain output-vector compare would be misaligned). With
     /// `Some(subset)` only those golden PO cells are compared — how a
     /// multi-error session judges one cluster while others stay live.
-    fn outputs_match(&self, outputs: Option<&[CellId]>) -> Result<bool, TilingError> {
+    fn outputs_match(&mut self, outputs: Option<&[CellId]>) -> Result<bool, TilingError> {
         // The DUT may have grown extra PIs (control points); the
         // packed sweep drives them inactive.
+        let pairs = self.po_pairs_for(outputs)?;
         Ok(sim::emulate::outputs_equivalent(
             self.golden,
             &self.td.netlist,
-            &self.po_pairs_for(outputs)?,
+            &pairs,
             self.patterns_for(self.golden),
+            &mut self.work.sim,
         )?)
+    }
+}
+
+impl Drop for DebugSession<'_> {
+    /// Emits the session's summed work exactly once, whichever entry
+    /// points ran and whether they returned an error. A session
+    /// dropped by a panic emits nothing: the registry panics on a
+    /// poisoned lock, and a panic during unwinding aborts.
+    fn drop(&mut self) {
+        if let Some(reg) = self.metrics.filter(|_| !std::thread::panicking()) {
+            self.work.record(reg);
+        }
+    }
+}
+
+/// The simulation, placement and routing work a session's calls
+/// returned, summed beside its [`EffortLedger`]. Simulation work is
+/// deliberately *not* a ledger charge: a charge counts an ECO.
+#[derive(Debug, Default)]
+struct SessionWork {
+    sim: SimWork,
+    moves_annealing: u64,
+    moves_analytical: u64,
+    cg_iterations: u64,
+    ripped_incremental: u64,
+    ripped_full: u64,
+}
+
+impl SessionWork {
+    /// Sums one ECO's placement and routing work.
+    fn add_eco(&mut self, phys: &EcoPhysicalOutcome) {
+        match phys.place_engine {
+            PlaceEngine::Annealing => self.moves_annealing += phys.effort.place_moves,
+            PlaceEngine::Analytical => self.moves_analytical += phys.effort.place_moves,
+        }
+        self.cg_iterations += phys.cg_iterations;
+        let ripped = phys.rerouted_nets as u64;
+        if phys.incremental_routing {
+            self.ripped_incremental += ripped;
+        } else {
+            self.ripped_full += ripped;
+        }
+    }
+
+    /// Adds the totals to the registry's work counters (every series,
+    /// zeros included, so the families are always present).
+    fn record(&self, reg: &MetricsRegistry) {
+        reg.counter_add("sim_sweeps_total", &[], self.sim.sweeps);
+        reg.counter_add("sim_net_words_total", &[], self.sim.net_words);
+        reg.counter_add("sim_lanes_loaded_total", &[], self.sim.lanes_loaded);
+        for (engine, moves) in [
+            (PlaceEngine::Annealing, self.moves_annealing),
+            (PlaceEngine::Analytical, self.moves_analytical),
+        ] {
+            reg.counter_add(
+                "place_moves_evaluated_total",
+                &[("engine", engine.label())],
+                moves,
+            );
+        }
+        reg.counter_add("place_cg_iterations_total", &[], self.cg_iterations);
+        for (mode, ripped) in [
+            ("incremental", self.ripped_incremental),
+            ("full", self.ripped_full),
+        ] {
+            reg.counter_add("route_nets_ripped_total", &[("mode", mode)], ripped);
+        }
     }
 }
 
@@ -1869,8 +1970,8 @@ mod tests {
         assert!(events.iter().any(|e| e.contains("ConeSplit")));
         assert!(events.iter().any(|e| e.contains("Corrected")));
         // The DUT really is clean.
-        let m =
-            first_mismatch(&golden, &td.netlist, PatternSpec::Auto.generate(&golden, 5)).unwrap();
+        let pats = PatternSpec::Auto.generate(&golden, 5);
+        let m = first_mismatch(&golden, &td.netlist, pats, &mut SimWork::default()).unwrap();
         assert!(m.is_none());
     }
 
@@ -1888,8 +1989,8 @@ mod tests {
         assert!(campaign.total_effort().total() > 0);
         assert!(td.routing.is_feasible());
         // The DUT really is clean at the end.
-        let m =
-            first_mismatch(&golden, &td.netlist, PatternSpec::Auto.generate(&golden, 7)).unwrap();
+        let pats = PatternSpec::Auto.generate(&golden, 7);
+        let m = first_mismatch(&golden, &td.netlist, pats, &mut SimWork::default()).unwrap();
         assert!(m.is_none(), "campaign left a live bug behind");
     }
 }

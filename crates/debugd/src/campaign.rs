@@ -10,13 +10,12 @@
 
 use std::fmt::Write as _;
 
-use obs::{MetricsRegistry, Tracer, TrackId};
+use obs::{escape_json, MetricsRegistry, Tracer, TrackId};
 use tiling::effort::Phase;
 use tiling::report::DebugReport;
 use tiling::session::{DebugEvent, DebugSession};
 
 use crate::artifacts::DesignArtifact;
-use crate::json::escape;
 use crate::request::CampaignRequest;
 
 /// How a campaign ended, service-side.
@@ -176,9 +175,9 @@ pub fn failure_result(
     };
     let report_json = format!(
         "{{\n  \"id\": \"{}\",\n  \"status\": \"{}\",\n  \"detail\": \"{}\",\n  \"request\": {}\n}}\n",
-        escape(&req.id),
+        escape_json(&req.id),
         status.name(),
-        escape(&detail),
+        escape_json(&detail),
         req.to_json(),
     );
     CampaignResult {
@@ -211,7 +210,7 @@ fn event_body(e: &DebugEvent) -> String {
             output_name,
         } => format!(
             "{{\"event\": \"detected\", \"pattern_index\": {pattern_index}, \"output\": \"{}\"}}",
-            escape(output_name)
+            escape_json(output_name)
         ),
         DebugEvent::CleanDesign => "{\"event\": \"clean_design\"}".to_string(),
         DebugEvent::SuspectsComputed {
@@ -281,7 +280,7 @@ fn render_report_json(
     events: &[String],
 ) -> String {
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"id\": \"{}\",", escape(&req.id));
+    let _ = writeln!(out, "  \"id\": \"{}\",", escape_json(&req.id));
     let _ = writeln!(out, "  \"status\": \"completed\",");
     let _ = writeln!(out, "  \"request\": {},", req.to_json());
     let _ = writeln!(
@@ -295,8 +294,8 @@ fn render_report_json(
         report.taps_inserted,
         report.ledger.total_ecos(),
         report.ledger.total().total(),
-        escape(&report.strategy),
-        escape(&report.flow),
+        escape_json(&report.strategy),
+        escape_json(&report.flow),
     );
     out.push_str("  \"phases\": {");
     for (i, ph) in Phase::ALL.iter().enumerate() {

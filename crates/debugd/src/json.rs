@@ -1,5 +1,6 @@
-//! Hand-rolled JSON: a tiny recursive-descent parser plus the string
-//! escaping the writers need.
+//! Hand-rolled JSON: a tiny recursive-descent parser. (The writers
+//! escape strings with the workspace's one escaper,
+//! [`obs::escape_json`].)
 //!
 //! The offline workspace carries no serde stand-in, and the service
 //! protocol is deliberately small: requests and reports are flat
@@ -297,26 +298,6 @@ impl Parser<'_> {
     }
 }
 
-/// Escapes a string for embedding in JSON output (no surrounding
-/// quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,7 +330,7 @@ mod tests {
     #[test]
     fn escape_round_trips_through_parse() {
         let nasty = "line1\nline2\t\"quoted\" back\\slash \u{1} end";
-        let doc = format!("{{\"v\": \"{}\"}}", escape(nasty));
+        let doc = format!("{{\"v\": \"{}\"}}", obs::escape_json(nasty));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("v").unwrap().as_str(), Some(nasty));
     }

@@ -11,7 +11,7 @@
 //!
 //! The layers, bottom-up:
 //!
-//! * [`json`] — the hand-rolled parser/escaper the wire protocol
+//! * [`json`] — the hand-rolled parser the wire protocol
 //!   uses (the workspace is offline; there is no serde).
 //! * [`request`] — [`request::CampaignRequest`]: the JSON request
 //!   schema and its decoding into session-level objects.

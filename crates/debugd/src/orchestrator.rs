@@ -41,11 +41,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use obs::{MetricsRegistry, Tracer, TrackId};
+use obs::{escape_json, MetricsRegistry, Tracer, TrackId};
 
 use crate::artifacts::ArtifactStore;
 use crate::campaign::{failure_result, run_campaign_observed, CampaignResult, CampaignStatus};
-use crate::json::escape;
 use crate::request::CampaignRequest;
 use crate::telemetry::FleetTelemetry;
 
@@ -89,7 +88,8 @@ pub fn run_batch(
 /// (optionally) a tracer.
 ///
 /// Deterministic counters (`debugd_campaigns_total`,
-/// `session_phase_*`, `evidence_*`, `sim_*`, `artifact_*`, the
+/// `session_phase_*`, `evidence_*`, the `sim_*`/`place_*`/`route_*`
+/// work each campaign's session sums, `artifact_*`, the
 /// `campaign_taps`/`campaign_ecos` histograms) land in the registry's
 /// deterministic section and are byte-identical whatever the worker
 /// count; wall-clock, steals, and queue depth go to the measured
@@ -131,9 +131,6 @@ pub fn run_batch_observed(
             .map(|req| t.track(&format!("campaign {}", req.id)))
             .collect()
     });
-    let sim_before = sim::counters::snapshot();
-    let place_before = place::counters::snapshot();
-    let route_before = route::counters::snapshot();
     let t0_us = tracer.map(Tracer::now_us).unwrap_or(0);
     let jobs: Vec<(usize, &CampaignRequest)> = requests.iter().enumerate().collect();
     let resolved = &resolved;
@@ -181,40 +178,6 @@ pub fn run_batch_observed(
             registry.observe("campaign_ecos", &[], report.ledger.total_ecos() as u64);
         }
     }
-    // The packed simulator's process-global counters, scraped as a
-    // delta over the batch. The delta is deterministic as long as no
-    // *other* simulation runs concurrently in this process (the bins
-    // run batches sequentially; concurrent tests must not assert
-    // exact values).
-    let sim_delta = sim::counters::snapshot().delta_since(&sim_before);
-    registry.counter_add("sim_sweeps_total", &[], sim_delta.sweeps);
-    registry.counter_add("sim_net_words_total", &[], sim_delta.net_words);
-    registry.counter_add("sim_lanes_loaded_total", &[], sim_delta.lanes_loaded);
-    // Placer/router effort counters, same delta-over-the-batch scrape
-    // (order-independent sums keep serial and pooled runs identical).
-    let place_delta = place::counters::snapshot().delta_since(&place_before);
-    registry.counter_add(
-        "place_moves_evaluated_total",
-        &[("engine", "annealing")],
-        place_delta.moves_annealing,
-    );
-    registry.counter_add(
-        "place_moves_evaluated_total",
-        &[("engine", "analytical")],
-        place_delta.moves_analytical,
-    );
-    registry.counter_add("place_cg_iterations_total", &[], place_delta.cg_iterations);
-    let route_delta = route::counters::snapshot().delta_since(&route_before);
-    registry.counter_add(
-        "route_nets_ripped_total",
-        &[("mode", "incremental")],
-        route_delta.nets_ripped_incremental,
-    );
-    registry.counter_add(
-        "route_nets_ripped_total",
-        &[("mode", "full")],
-        route_delta.nets_ripped_full,
-    );
     let (builds, hits) = store.stats();
     registry.counter_set("artifact_builds_total", &[], builds as u64);
     registry.counter_set("artifact_hits_total", &[], hits as u64);
@@ -323,8 +286,8 @@ pub fn serve(root: &Path, opts: &ServeOptions) -> io::Result<ServeSummary> {
                         reports_dir.join(format!("{stem}.json")),
                         format!(
                             "{{\"id\": \"{}\", \"status\": \"rejected\", \"detail\": \"{}\"}}\n",
-                            escape(&stem),
-                            escape(&e.to_string()),
+                            escape_json(&stem),
+                            escape_json(&e.to_string()),
                         ),
                     )?;
                 }

@@ -379,8 +379,8 @@ impl CampaignRequest {
             "{{\"id\": \"{}\", \"design\": \"{}\", \"target_tiles\": {}, \"impl_seed\": {}, \
              \"strategy\": \"{}\", \"flow\": \"{}\", \"patterns\": \"{}\", \"pattern_count\": {}, \
              \"seed\": {}, \"error_seeds\": [{}], \"confirm_with_control\": {}}}",
-            json::escape(&self.id),
-            json::escape(self.design.name()),
+            obs::escape_json(&self.id),
+            obs::escape_json(self.design.name()),
             self.target_tiles,
             self.impl_seed,
             self.strategy.name(),

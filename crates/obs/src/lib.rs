@@ -31,4 +31,4 @@ pub use artifacts::{artifact_base, ARTIFACT_DIR};
 pub use metrics::{
     HistogramData, MetricValue, MetricsRegistry, MetricsSnapshot, Section, MEASURED_MARKER,
 };
-pub use trace::{SpanRecord, Tracer, TrackId};
+pub use trace::{escape_json, SpanRecord, Tracer, TrackId};

@@ -177,7 +177,7 @@ impl Tracer {
                 out,
                 "  {{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 1, \"tid\": {tid}, \
                  \"args\": {{\"name\": \"{}\"}}}}",
-                escape(name)
+                escape_json(name)
             );
         }
         for s in &spans {
@@ -189,8 +189,8 @@ impl Tracer {
                 out,
                 "  {{\"ph\": \"X\", \"name\": \"{}\", \"cat\": \"{}\", \"ts\": {}, \"dur\": {}, \
                  \"pid\": 1, \"tid\": {}, \"args\": {{\"effort_units\": {}}}}}",
-                escape(&s.name),
-                escape(&s.cat),
+                escape_json(&s.name),
+                escape_json(&s.cat),
                 s.start_us,
                 s.dur_us,
                 s.track.0,
@@ -217,9 +217,9 @@ impl Tracer {
                 "{{\"track\": {}, \"track_name\": \"{}\", \"name\": \"{}\", \"cat\": \"{}\", \
                  \"ts_us\": {}, \"dur_us\": {}, \"effort_units\": {}}}",
                 s.track.0,
-                escape(track_name),
-                escape(&s.name),
-                escape(&s.cat),
+                escape_json(track_name),
+                escape_json(&s.name),
+                escape_json(&s.cat),
                 s.start_us,
                 s.dur_us,
                 s.effort_units
@@ -229,7 +229,10 @@ impl Tracer {
     }
 }
 
-fn escape(s: &str) -> String {
+/// Escapes a string for embedding in JSON output (no surrounding
+/// quotes): the one JSON string escaper the workspace's hand-rolled
+/// writers share.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

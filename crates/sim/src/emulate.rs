@@ -10,10 +10,14 @@
 //! steps — pattern `i`'s flip-flop state depends on pattern `i-1`),
 //! which keeps every onset and verdict bit-exact with the scalar
 //! [`Simulator`](crate::Simulator) oracle.
+//!
+//! Every entry point adds the work its simulators did to a
+//! caller-supplied [`SimWork`], so whoever runs a sweep — a debug
+//! session, a bench — owns the count of exactly its own sweeps.
 
 use netlist::{NetId, Netlist, NetlistError};
 
-use crate::packed::{PackedSimulator, LANES};
+use crate::packed::{PackedSimulator, SimWork, LANES};
 use crate::patterns::PatternGen;
 
 /// A detected divergence between golden model and device under test.
@@ -43,11 +47,13 @@ pub struct Mismatch {
 /// [`PackedSimulator::cycles`] reads like the scalar oracle's at the
 /// moment of detection). Golden patterns are width-checked strictly;
 /// the DUT may carry extra primary inputs (debug instrumentation),
-/// driven inactive. Returns the number of patterns consumed.
+/// driven inactive. Adds both simulators' work to `work` and returns
+/// the number of patterns consumed.
 fn sweep_pair<I, F>(
     golden: &Netlist,
     dut: &Netlist,
     patterns: I,
+    work: &mut SimWork,
     mut visit: F,
 ) -> Result<usize, NetlistError>
 where
@@ -65,7 +71,7 @@ where
         chunk.clear();
         chunk.extend(patterns.by_ref().take(width));
         if chunk.is_empty() {
-            return Ok(base);
+            break;
         }
         let lanes = gsim.load_patterns(&chunk);
         dsim.load_patterns_padded(&chunk);
@@ -73,13 +79,16 @@ where
         dsim.comb_eval();
         base += chunk.len();
         if !visit(base - chunk.len(), lanes, &gsim, &dsim) {
-            return Ok(base);
+            break;
         }
         if sequential {
             gsim.step();
             dsim.step();
         }
     }
+    *work += gsim.work();
+    *work += dsim.work();
+    Ok(base)
 }
 
 /// Runs `patterns` through both netlists and returns the first
@@ -102,6 +111,7 @@ pub fn first_mismatch(
     golden: &Netlist,
     dut: &Netlist,
     patterns: PatternGen,
+    work: &mut SimWork,
 ) -> Result<Option<Mismatch>, NetlistError> {
     let pos = golden.primary_outputs();
     assert_eq!(
@@ -121,7 +131,7 @@ pub fn first_mismatch(
     );
     let mut diffs = vec![0u64; pos.len()];
     let mut hit: Option<(usize, u64, usize, Vec<bool>)> = None;
-    sweep_pair(golden, dut, patterns, |base, lanes, gsim, dsim| {
+    sweep_pair(golden, dut, patterns, work, |base, lanes, gsim, dsim| {
         let mut any = 0u64;
         for (j, diff) in diffs.iter_mut().enumerate() {
             *diff = (gsim.output_word(j) ^ dsim.output_word(j)) & lanes;
@@ -178,6 +188,7 @@ pub fn net_first_divergences(
     dut: &Netlist,
     nets: &[NetId],
     patterns: &[Vec<bool>],
+    work: &mut SimWork,
 ) -> Result<Vec<Option<usize>>, NetlistError> {
     let mut onsets: Vec<Option<usize>> = vec![None; nets.len()];
     let mut undecided = nets.len();
@@ -185,6 +196,7 @@ pub fn net_first_divergences(
         golden,
         dut,
         patterns.iter().cloned(),
+        work,
         |base, lanes, gsim, dsim| {
             for (onset, &net) in onsets.iter_mut().zip(nets) {
                 if onset.is_none() {
@@ -219,9 +231,10 @@ pub fn po_divergence_words(
     dut: &Netlist,
     pairs: &[(usize, usize)],
     patterns: impl IntoIterator<Item = Vec<bool>>,
+    work: &mut SimWork,
 ) -> Result<(Vec<Vec<u64>>, usize), NetlistError> {
     let mut words: Vec<Vec<u64>> = vec![Vec::new(); pairs.len()];
-    let count = sweep_pair(golden, dut, patterns, |base, lanes, gsim, dsim| {
+    let count = sweep_pair(golden, dut, patterns, work, |base, lanes, gsim, dsim| {
         // Chunks never straddle a word boundary: combinational chunks
         // are 64-aligned, sequential chunks are single patterns.
         let (wi, shift) = (base / 64, base % 64);
@@ -251,9 +264,10 @@ pub fn outputs_equivalent(
     dut: &Netlist,
     pairs: &[(usize, usize)],
     patterns: impl IntoIterator<Item = Vec<bool>>,
+    work: &mut SimWork,
 ) -> Result<bool, NetlistError> {
     let mut matched = true;
-    sweep_pair(golden, dut, patterns, |_, lanes, gsim, dsim| {
+    sweep_pair(golden, dut, patterns, work, |_, lanes, gsim, dsim| {
         matched = pairs
             .iter()
             .all(|&(gk, dk)| (gsim.output_word(gk) ^ dsim.output_word(dk)) & lanes == 0);
@@ -284,6 +298,7 @@ pub fn forced_outputs_equivalent(
     forced_net: NetId,
     pairs: &[(usize, usize)],
     patterns: impl IntoIterator<Item = Vec<bool>>,
+    work: &mut SimWork,
 ) -> Result<bool, NetlistError> {
     let mut gsim = PackedSimulator::new(golden)?;
     let mut dsim = PackedSimulator::new(dut)?;
@@ -297,11 +312,12 @@ pub fn forced_outputs_equivalent(
     let width = if sequential { 1 } else { LANES };
     let mut chunk: Vec<Vec<bool>> = Vec::with_capacity(width);
     let mut patterns = patterns.into_iter();
-    loop {
+    let mut matched = true;
+    while matched {
         chunk.clear();
         chunk.extend(patterns.by_ref().take(width));
         if chunk.is_empty() {
-            return Ok(true);
+            break;
         }
         let lanes = gsim.load_patterns(&chunk);
         gsim.comb_eval();
@@ -309,17 +325,17 @@ pub fn forced_outputs_equivalent(
         dsim.set_input_word(force_val, gsim.net_word(forced_net));
         dsim.set_input_word(force_val + 1, u64::MAX);
         dsim.comb_eval();
-        if pairs
+        matched = pairs
             .iter()
-            .any(|&(gk, dk)| (gsim.output_word(gk) ^ dsim.output_word(dk)) & lanes != 0)
-        {
-            return Ok(false);
-        }
-        if sequential {
+            .all(|&(gk, dk)| (gsim.output_word(gk) ^ dsim.output_word(dk)) & lanes == 0);
+        if matched && sequential {
             gsim.step();
             dsim.step();
         }
     }
+    *work += gsim.work();
+    *work += dsim.work();
+    Ok(matched)
 }
 
 #[cfg(test)]
@@ -349,7 +365,8 @@ mod tests {
     #[test]
     fn identical_designs_never_mismatch() {
         let nl = two_cone_design();
-        let m = first_mismatch(&nl, &nl.clone(), PatternGen::exhaustive(3)).unwrap();
+        let mut work = SimWork::default();
+        let m = first_mismatch(&nl, &nl.clone(), PatternGen::exhaustive(3), &mut work).unwrap();
         assert_eq!(m, None);
     }
 
@@ -359,7 +376,8 @@ mod tests {
         let mut dut = golden.clone();
         let u1 = dut.find_cell("u1").unwrap();
         inject(&mut dut, u1, DesignErrorKind::Complement).unwrap();
-        let m = first_mismatch(&golden, &dut, PatternGen::exhaustive(3))
+        let mut work = SimWork::default();
+        let m = first_mismatch(&golden, &dut, PatternGen::exhaustive(3), &mut work)
             .unwrap()
             .expect("complemented gate must diverge");
         assert_eq!(m.output_name, "y1");
@@ -391,7 +409,8 @@ mod tests {
         };
         let golden = build(true); // q ^= en
         let dut = build(false); // q stays q
-        let m = first_mismatch(&golden, &dut, PatternGen::random(1, 20, 3)).unwrap();
+        let mut work = SimWork::default();
+        let m = first_mismatch(&golden, &dut, PatternGen::random(1, 20, 3), &mut work).unwrap();
         assert!(m.is_some());
     }
 
@@ -406,7 +425,8 @@ mod tests {
         let n0 = golden.cell_output(golden.find_cell("u0").unwrap()).unwrap();
         let n1 = golden.cell_output(golden.find_cell("u1").unwrap()).unwrap();
         let pats: Vec<Vec<bool>> = PatternGen::exhaustive(3).collect();
-        let onsets = net_first_divergences(&golden, &dut, &[n0, n1], &pats).unwrap();
+        let mut work = SimWork::default();
+        let onsets = net_first_divergences(&golden, &dut, &[n0, n1], &pats, &mut work).unwrap();
         assert_eq!(onsets, vec![Some(3), None]);
     }
 
@@ -417,7 +437,8 @@ mod tests {
         let u0 = dut.find_cell("u0").unwrap();
         // Flip only the row a=1,b=1.
         inject(&mut dut, u0, DesignErrorKind::FlipRow { row: 3 }).unwrap();
-        let m = first_mismatch(&golden, &dut, PatternGen::exhaustive(3))
+        let mut work = SimWork::default();
+        let m = first_mismatch(&golden, &dut, PatternGen::exhaustive(3), &mut work)
             .unwrap()
             .expect("exhaustive patterns hit every minterm");
         // The failing stimulus must have a=b=1.
@@ -432,9 +453,13 @@ mod tests {
         let u0 = dut.find_cell("u0").unwrap();
         inject(&mut dut, u0, DesignErrorKind::FlipRow { row: 3 }).unwrap();
         let pairs = [(0, 0), (1, 1)];
+        let mut work = SimWork::default();
         let (words, count) =
-            po_divergence_words(&golden, &dut, &pairs, PatternGen::exhaustive(3)).unwrap();
+            po_divergence_words(&golden, &dut, &pairs, PatternGen::exhaustive(3), &mut work)
+                .unwrap();
         assert_eq!(count, 8);
+        // One 8-lane chunk: one topo pass per machine.
+        assert_eq!((work.sweeps, work.lanes_loaded), (2, 16));
         // y0 fails exactly on the a=b=1 patterns (indices 3 and 7).
         assert_eq!(words[0], vec![(1 << 3) | (1 << 7)]);
         assert!(words[1].is_empty(), "y1 never diverges");
@@ -446,11 +471,12 @@ mod tests {
         let mut dut = golden.clone();
         let pairs = [(0, 0), (1, 1)];
         let pats = || PatternGen::exhaustive(3);
-        assert!(outputs_equivalent(&golden, &dut, &pairs, pats()).unwrap());
+        let w = &mut SimWork::default();
+        assert!(outputs_equivalent(&golden, &dut, &pairs, pats(), w).unwrap());
         let u1 = dut.find_cell("u1").unwrap();
         inject(&mut dut, u1, DesignErrorKind::Complement).unwrap();
-        assert!(!outputs_equivalent(&golden, &dut, &pairs, pats()).unwrap());
+        assert!(!outputs_equivalent(&golden, &dut, &pairs, pats(), w).unwrap());
         // Comparing only the clean output's pair still matches.
-        assert!(outputs_equivalent(&golden, &dut, &pairs[..1], pats()).unwrap());
+        assert!(outputs_equivalent(&golden, &dut, &pairs[..1], pats(), w).unwrap());
     }
 }

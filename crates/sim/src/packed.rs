@@ -36,10 +36,36 @@
 //! differential oracle: every packed consumer is pinned to it
 //! bit-exactly by property tests (`tests/properties.rs`).
 
+use std::ops::AddAssign;
+
 use netlist::{CellId, CellKind, NetId, Netlist, NetlistError};
 
 /// Lanes per machine word (bits in a `u64`).
 pub const LANES: usize = 64;
+
+/// Work a [`PackedSimulator`] has done, read with
+/// [`PackedSimulator::work`]. Plain per-engine counts: callers sum
+/// the engines they ran (`+=`) and report the total themselves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SimWork {
+    /// Packed topo passes (`comb_eval` calls, including the one in
+    /// every `step`) — each evaluates 64 lanes at once.
+    pub sweeps: u64,
+    /// Net *words* evaluated: ops walked per sweep, 64 lane-values
+    /// each.
+    pub net_words: u64,
+    /// Stimulus lanes loaded (pattern-load and broadcast calls):
+    /// `lanes_loaded / (sweeps * 64)` approximates lane occupancy.
+    pub lanes_loaded: u64,
+}
+
+impl AddAssign for SimWork {
+    fn add_assign(&mut self, rhs: SimWork) {
+        self.sweeps += rhs.sweeps;
+        self.net_words += rhs.net_words;
+        self.lanes_loaded += rhs.lanes_loaded;
+    }
+}
 
 /// One compiled evaluation step (topo order position).
 #[derive(Debug, Clone)]
@@ -100,6 +126,7 @@ pub struct PackedSimulator<'a> {
     /// Mux-tree scratch for LUT row candidates.
     scratch: [u64; 1 << netlist::logic::MAX_ARITY],
     cycles: u64,
+    work: SimWork,
 }
 
 impl<'a> PackedSimulator<'a> {
@@ -171,6 +198,7 @@ impl<'a> PackedSimulator<'a> {
             fault: vec![0u64; nl.net_capacity()],
             scratch: [0u64; 1 << netlist::logic::MAX_ARITY],
             cycles: 0,
+            work: SimWork::default(),
         })
     }
 
@@ -187,6 +215,12 @@ impl<'a> PackedSimulator<'a> {
     /// Clock cycles stepped since construction/reset.
     pub fn cycles(&self) -> u64 {
         self.cycles
+    }
+
+    /// Work done since construction (not cleared by
+    /// [`reset`](Self::reset)).
+    pub fn work(&self) -> SimWork {
+        self.work
     }
 
     /// Transposes up to [`LANES`] stimulus patterns into the input
@@ -212,7 +246,7 @@ impl<'a> PackedSimulator<'a> {
     /// driven inactive on them.
     pub fn load_patterns_padded(&mut self, chunk: &[Vec<bool>]) -> u64 {
         assert!(chunk.len() <= LANES, "at most {LANES} patterns per chunk");
-        crate::counters::record_lanes(chunk.len() as u64);
+        self.work.lanes_loaded += chunk.len() as u64;
         for (k, word) in self.inputs.iter_mut().enumerate() {
             let mut w = 0u64;
             for (l, pat) in chunk.iter().enumerate() {
@@ -239,7 +273,7 @@ impl<'a> PackedSimulator<'a> {
     pub fn broadcast_inputs_padded(&mut self, pat: &[bool]) {
         // Machines-as-lanes mode: one stimulus pattern drives all 64
         // lanes, so this counts as a single loaded lane.
-        crate::counters::record_lanes(1);
+        self.work.lanes_loaded += 1;
         for (k, word) in self.inputs.iter_mut().enumerate() {
             *word = broadcast(pat.get(k).copied().unwrap_or(false));
         }
@@ -290,7 +324,8 @@ impl<'a> PackedSimulator<'a> {
     /// Propagates the current input words and FF state through the
     /// combinational network — one topo pass for all 64 lanes.
     pub fn comb_eval(&mut self) {
-        crate::counters::record_sweep(self.ops.len() as u64);
+        self.work.sweeps += 1;
+        self.work.net_words += self.ops.len() as u64;
         let Self {
             ops,
             values,
@@ -466,6 +501,11 @@ mod tests {
             );
         }
         assert_eq!(packed.cycles(), 32);
+        // One load and two topo passes (`comb_eval`, then `step`'s
+        // own) per pattern.
+        let work = packed.work();
+        assert_eq!((work.sweeps, work.lanes_loaded), (64, 32));
+        assert_eq!(work.net_words, 64 * packed.ops.len() as u64);
         packed.reset();
         assert_eq!(packed.cycles(), 0);
         assert_eq!(packed.ff_word(ff), Some(0));

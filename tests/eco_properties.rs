@@ -31,7 +31,8 @@ proptest! {
         let cell = dut.cell(err.cell).unwrap();
         prop_assert_eq!(cell.lut_function(), Some(&err.original));
         // Behaviourally identical again.
-        let m = sim::emulate::first_mismatch(&golden, &dut, PatternGen::exhaustive(2)).unwrap();
+        let w = &mut sim::SimWork::default();
+        let m = sim::emulate::first_mismatch(&golden, &dut, PatternGen::exhaustive(2), w).unwrap();
         prop_assert_eq!(m, None);
     }
 
@@ -44,7 +45,8 @@ proptest! {
         let golden = fixture();
         let mut dut = golden.clone();
         let err = sim::inject::random_error(&mut dut, seed).unwrap();
-        let m = sim::emulate::first_mismatch(&golden, &dut, PatternGen::exhaustive(2)).unwrap();
+        let w = &mut sim::SimWork::default();
+        let m = sim::emulate::first_mismatch(&golden, &dut, PatternGen::exhaustive(2), w).unwrap();
         match err.kind {
             sim::inject::DesignErrorKind::Complement => {
                 prop_assert!(m.is_some(), "complement must always be visible");

@@ -168,6 +168,7 @@ fn functional_equivalence_preserved_by_physical_eco() {
         &golden,
         &td.netlist,
         sim::PatternGen::random(golden.primary_inputs().len(), 128, 9),
+        &mut sim::SimWork::default(),
     )
     .unwrap();
     assert_eq!(m, None, "physical ECO changed behaviour");

@@ -2,9 +2,11 @@
 //! crate records while a session runs must reconcile **exactly** with
 //! the session's own `EffortLedger` — per phase, not just in total —
 //! on both the serial and the concurrent diagnosis paths. The fleet
-//! path's deterministic counter section must be byte-identical
-//! whatever the worker count (the metrics extension of the PR 7
-//! report/event invariant).
+//! path's deterministic counter section — the sessions' summed
+//! simulation, placement and routing work included — must be
+//! byte-identical whatever the worker count and whatever else runs in
+//! the process (the metrics extension of the report/event
+//! invariant).
 
 use fpga_debug_tiling::prelude::*;
 use fpga_debug_tiling::{implement_paper_design, sim, tiling};
@@ -25,7 +27,8 @@ fn victim(td: &TiledDesign) -> netlist::CellId {
 
 /// Asserts that for every phase, the tracer's span effort totals and
 /// the registry's `session_phase_effort_units_total` counter both
-/// equal that phase's ledger entry exactly.
+/// equal that phase's ledger entry exactly, and that the session's
+/// summed placer work is exactly the ledger's placement effort.
 fn assert_reconciled(tracer: &Tracer, registry: &MetricsRegistry, ledger: &tiling::EffortLedger) {
     let spans = tracer.spans();
     let snap = registry.snapshot();
@@ -53,6 +56,14 @@ fn assert_reconciled(tracer: &Tracer, registry: &MetricsRegistry, ledger: &tilin
             phase.name()
         );
     }
+    // Every placer move the session summed, over both engines, was
+    // charged to some phase of the ledger — and nothing else was.
+    assert_eq!(
+        snap.sum_counters("place_moves_evaluated_total"),
+        snap.sum_counters("session_phase_place_moves_total"),
+        "placer work disagrees with the phase ledger"
+    );
+    assert!(snap.value_u64("sim_sweeps_total", &[]) > 0, "no sim work");
     // Detect is never charged, but its region must still be traced
     // (a zero-effort span proves the phase ran, not that it's free).
     assert!(
@@ -135,19 +146,42 @@ fn fleet_deterministic_metrics_are_byte_identical_across_worker_counts() {
     let pooled_store = debugd::ArtifactStore::new();
     let pooled_registry = MetricsRegistry::new();
     debugd::run_batch_observed(&pooled_store, &requests, 4, &pooled_registry, None);
-    // The `sim_*` counters are process-global deltas; sibling tests in
-    // this harness simulate concurrently, so only the bins (which run
-    // batches alone in their process — the `fleet` bin asserts the
-    // full section) can pin them. Everything else must match exactly.
-    let strip_sim = |s: String| {
-        s.lines()
-            .filter(|l| !l.contains("sim_"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
+    // The whole section, work counters included: each campaign's
+    // session sums exactly its own work, so sibling tests simulating
+    // in the same process cannot leak into it.
     assert_eq!(
-        strip_sim(serial_registry.render_deterministic()),
-        strip_sim(pooled_registry.render_deterministic()),
+        serial_registry.render_deterministic(),
+        pooled_registry.render_deterministic(),
         "deterministic metrics section must not depend on worker count"
+    );
+}
+
+#[test]
+fn concurrent_identical_sessions_record_identical_work() {
+    let td0 = implement_paper_design(PaperDesign::NineSym, TilingOptions::fast(201)).unwrap();
+    let golden = td0.netlist.clone();
+    let target = victim(&td0);
+    let run = || {
+        let mut td = td0.clone();
+        let error = sim::inject::inject(
+            &mut td.netlist,
+            target,
+            sim::inject::DesignErrorKind::Complement,
+        )
+        .unwrap();
+        let registry = MetricsRegistry::new();
+        DebugSession::new(&mut td, &golden)
+            .seed(9)
+            .metrics(&registry)
+            .run(&error)
+            .unwrap();
+        registry
+    };
+    let (a, b) = parallel::join(run, run);
+    assert!(a.snapshot().value_u64("sim_sweeps_total", &[]) > 0);
+    assert_eq!(
+        a.render_deterministic(),
+        b.render_deterministic(),
+        "two identical sessions running side by side must each count only their own work"
     );
 }

@@ -454,8 +454,8 @@ proptest! {
         let seeds: Vec<u64> = (0..k as u64).map(|i| seed.wrapping_add(i)).collect();
         let errors =
             fpga_debug_tiling::sim::inject::random_distinct_errors(&mut dut, &seeds).unwrap();
-        let matrix =
-            collect_responses(&golden, &dut, PatternGen::random(1, 48, seed)).unwrap();
+        let w = &mut SimWork::default();
+        let matrix = collect_responses(&golden, &dut, PatternGen::random(1, 48, seed), w).unwrap();
         let evidence = EvidenceBase::from_sweep(&golden, &matrix);
         for cl in cluster_failures(&golden, &matrix) {
             // The window is the earliest failure of the union signature.
@@ -575,7 +575,7 @@ proptest! {
 // stimulus is biased (`prop::bool::weighted`) so divergence words are
 // sparse and onsets land away from lane 0.
 
-use fpga_debug_tiling::sim::{inject, PackedSimulator, LANES};
+use fpga_debug_tiling::sim::{inject, PackedSimulator, SimWork, LANES};
 
 /// Number of primary inputs every random combinational DAG uses.
 const RAND_PIS: usize = 5;
@@ -733,8 +733,9 @@ proptest! {
             .map(|(id, _)| golden.cell_output(id).unwrap())
             .collect();
 
+        let w = &mut SimWork::default();
         let got =
-            fpga_debug_tiling::sim::emulate::net_first_divergences(&golden, &dut, &nets, &pats)
+            fpga_debug_tiling::sim::emulate::net_first_divergences(&golden, &dut, &nets, &pats, w)
                 .unwrap();
 
         let mut g = Simulator::new(&golden).unwrap();
@@ -779,8 +780,9 @@ proptest! {
             .map(|(id, _)| golden.cell_output(id).unwrap())
             .collect();
 
+        let w = &mut SimWork::default();
         let got =
-            fpga_debug_tiling::sim::emulate::net_first_divergences(&golden, &dut, &nets, &pats)
+            fpga_debug_tiling::sim::emulate::net_first_divergences(&golden, &dut, &nets, &pats, w)
                 .unwrap();
 
         let mut g = Simulator::new(&golden).unwrap();
@@ -833,8 +835,8 @@ proptest! {
         let mut dut = golden.clone();
         let seeds: Vec<u64> = (0..k as u64).map(|i| seed.wrapping_add(i)).collect();
         let errors = inject::random_distinct_errors(&mut dut, &seeds).unwrap();
-        let matrix =
-            collect_responses(&golden, &dut, PatternGen::random(1, 100, seed)).unwrap();
+        let w = &mut SimWork::default();
+        let matrix = collect_responses(&golden, &dut, PatternGen::random(1, 100, seed), w).unwrap();
         let evidence = EvidenceBase::from_sweep(&golden, &matrix);
         for cl in cluster_failures(&golden, &matrix) {
             prop_assert_eq!(Some(cl.window), cl.signature.first_failing());

@@ -148,6 +148,36 @@ fn binary_search_beats_linear_batches_on_a_deep_cone() {
     );
 }
 
+/// A DUT that already matches the golden model short-circuits after
+/// detection: the paper-default session (linear batches through the
+/// tiled flow) reports no mismatch and a repaired design, narrates
+/// only `CleanDesign`, and spends no physical effort.
+#[test]
+fn clean_design_short_circuits_after_detection() {
+    let mut td = implement_paper_design(PaperDesign::NineSym, TilingOptions::fast(10)).unwrap();
+    let golden = td.netlist.clone();
+    let victim = bench_harness_victim(&td);
+    let function = *td.netlist.cell(victim).unwrap().lut_function().unwrap();
+    // An "error" record that does not actually corrupt the netlist.
+    let fake = sim::inject::InjectedError {
+        cell: victim,
+        kind: sim::inject::DesignErrorKind::Complement,
+        original: function,
+        buggy: function,
+    };
+    let mut events: Vec<DebugEvent> = Vec::new();
+    let out = DebugSession::new(&mut td, &golden)
+        .seed(1)
+        .on_event(|e| events.push(e.clone()))
+        .run(&fake)
+        .unwrap();
+    assert!(out.mismatch.is_none());
+    assert!(out.repaired);
+    assert_eq!((out.strategy, out.flow), ("linear", "tiled"));
+    assert_eq!((out.effort.total(), out.ecos, out.taps_inserted), (0, 0, 0));
+    assert!(matches!(events.as_slice(), [DebugEvent::CleanDesign]));
+}
+
 /// Indices of the events matching `pred`, in emission order.
 fn indices_of(events: &[DebugEvent], pred: impl Fn(&DebugEvent) -> bool) -> Vec<usize> {
     events
@@ -205,6 +235,10 @@ fn event_stream_respects_phase_order_and_ledger_reconciles() {
     }
     assert!(*observed.last().unwrap() < localized[0]);
     assert!(localized[0] < confirmed[0], "localize precedes confirm");
+    // The paper defaults localize the planted cell, and forcing its
+    // output to golden values confirms it.
+    assert_eq!(out.localized, Some(victim));
+    assert!(out.confirmed_by_control);
     assert!(confirmed[0] < corrected[0], "confirm precedes correct");
     assert_eq!(corrected[0], events.len() - 1, "correction concludes");
 
