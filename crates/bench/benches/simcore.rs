@@ -1,7 +1,8 @@
 //! Criterion bench for the pattern-parallel simulation core: one
 //! golden-vs-DUT divergence sweep over 4096 patterns on 9sym
 //! (combinational, so the packed side fills all 64 lanes), scalar
-//! oracle versus `sim::emulate::po_divergence_words`. The committed
+//! oracle versus a `sim::GoldenTrace` build plus
+//! `sim::emulate::po_divergence_words`. The committed
 //! cross-PR numbers live in `BENCH_sim.json` (the `simbench` bin);
 //! this bench is for quick local A/B runs while touching the core.
 
@@ -42,9 +43,10 @@ fn bench_divergence_sweep(c: &mut Criterion) {
     group.bench_function("packed_64_lane_4096_patterns", |b| {
         b.iter(|| {
             let mut work = sim::SimWork::default();
-            let (words, _) =
-                sim::emulate::po_divergence_words(&golden, &dut, &pairs, pats.clone(), &mut work)
-                    .expect("sweep");
+            let trace =
+                sim::GoldenTrace::new(&golden, pats.iter().cloned(), &mut work).expect("trace");
+            let words =
+                sim::emulate::po_divergence_words(&trace, &dut, &pairs, &mut work).expect("sweep");
             black_box(words)
         });
     });

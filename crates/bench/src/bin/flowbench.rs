@@ -79,7 +79,7 @@ struct EcoRow {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = obs::bench_flags(std::env::args()).0;
     let designs: &[PaperDesign] = if quick {
         &[PaperDesign::NineSym, PaperDesign::Styr]
     } else {

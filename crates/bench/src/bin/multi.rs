@@ -182,13 +182,8 @@ fn sweep(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check_serial = args.iter().any(|a| a == "--check-serial");
-    let trace_base = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1).cloned());
+    let (quick, trace_base) = obs::bench_flags(std::env::args());
+    let check_serial = std::env::args().any(|a| a == "--check-serial");
     let designs: &[PaperDesign] = if quick {
         &[PaperDesign::NineSym]
     } else {
@@ -216,12 +211,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("(pooled sweep verified byte-identical to the serial path)");
     }
     if let (Some(base), Some(tracer), Some(reg)) = (&trace_base, &tracer, &registry) {
-        let base = obs::artifact_base(base)?;
-        let base = base.display();
-        std::fs::write(format!("{base}.trace.json"), tracer.to_chrome_trace())?;
-        std::fs::write(format!("{base}.trace.jsonl"), tracer.to_jsonl())?;
-        std::fs::write(format!("{base}.metrics.prom"), reg.render_prometheus())?;
-        println!("trace + metrics artifacts written to {base}.*");
+        let base = obs::write_artifacts(base, tracer, reg)?;
+        println!("trace + metrics artifacts written to {}.*", base.display());
     }
 
     println!("Multi-error diagnosis: concurrent vs k sequential campaigns (tiled flow)");

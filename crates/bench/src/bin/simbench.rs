@@ -4,15 +4,18 @@
 //!
 //! * **detect** — golden-vs-DUT output-divergence sweep (the
 //!   evidence-collection pass behind `collect_responses`). The packed
-//!   side runs the production `sim::emulate::po_divergence_words`
-//!   path; the scalar side replays the pre-packing per-pattern loop.
+//!   side runs the production path — one `sim::GoldenTrace` build,
+//!   then `sim::emulate::po_divergence_words` over the DUT — and is
+//!   timed including the trace build; the scalar side replays the
+//!   pre-packing per-pattern loop.
 //!   Combinational designs get 64 patterns per topo pass; sequential
 //!   designs run stream-mode (chunk width 1, see `sim::packed`), so
 //!   their rows are marked `parallel: false` and are exempt from the
 //!   CI speedup gate.
 //! * **faultsim** — candidate scoring: complement each of up to 64
 //!   LUT candidates and record which outputs ever diverge from the
-//!   fault-free design plus the first diverging pattern. Packed runs
+//!   fault-free design plus the first diverging pattern. Packed builds
+//!   the fault-free `sim::GoldenTrace` (inside its timing), then runs
 //!   pattern-parallel per candidate on combinational designs and
 //!   candidate-parallel (64 fault machines per stream pass) on
 //!   sequential ones — both 64-lane, so every faultsim row gates.
@@ -46,7 +49,7 @@ use std::time::Instant;
 use netlist::{CellId, Netlist};
 use obs::{MetricsRegistry, Tracer};
 use sim::inject::{inject, random_error, DesignErrorKind};
-use sim::{PackedSimulator, PatternGen, SimWork, Simulator, LANES};
+use sim::{GoldenTrace, PackedSimulator, PatternGen, SimWork, Simulator, LANES};
 use synth::PaperDesign;
 
 /// One (design, workload) comparison row.
@@ -67,12 +70,7 @@ struct Row {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let trace_base = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1).cloned());
+    let (quick, trace_base) = obs::bench_flags(std::env::args());
     let designs: &[PaperDesign] = if quick {
         &[PaperDesign::NineSym, PaperDesign::Styr]
     } else {
@@ -170,12 +168,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         registry.counter_add("sim_sweeps_total", &[], sim_work.sweeps);
         registry.counter_add("sim_net_words_total", &[], sim_work.net_words);
         registry.counter_add("sim_lanes_loaded_total", &[], sim_work.lanes_loaded);
-        let base = obs::artifact_base(base)?;
-        let base = base.display();
-        std::fs::write(format!("{base}.trace.json"), tracer.to_chrome_trace())?;
-        std::fs::write(format!("{base}.trace.jsonl"), tracer.to_jsonl())?;
-        std::fs::write(format!("{base}.metrics.prom"), registry.render_prometheus())?;
-        println!("trace + metrics artifacts written to {base}.*");
+        let base = obs::write_artifacts(base, tracer, registry)?;
+        println!("trace + metrics artifacts written to {}.*", base.display());
     }
     Ok(())
 }
@@ -247,12 +241,11 @@ fn detect_row(
 
     // Packed: the production evidence-collection path.
     let t = Instant::now();
-    let (pwords, count) =
-        sim::emulate::po_divergence_words(golden, dut, &pairs, pats.to_vec(), work)?;
-    let packed_pps = count as f64 / t.elapsed().as_secs_f64();
+    let trace = GoldenTrace::new(golden, pats.iter().cloned(), work)?;
+    let mut pwords = sim::emulate::po_divergence_words(&trace, dut, &pairs, work)?;
+    let packed_pps = pats.len() as f64 / t.elapsed().as_secs_f64();
     // `po_divergence_words` trims nothing but may leave short vectors
     // for clean tails; pad to the scalar layout before comparing.
-    let mut pwords = pwords;
     for w in &mut pwords {
         w.resize(pats.len().div_ceil(LANES), 0);
     }
@@ -348,13 +341,15 @@ fn faultsim_row(
     let evals = (pats.len() * cands.len()) as f64;
     let scalar_pps = evals / t.elapsed().as_secs_f64();
 
-    // Packed: pattern-parallel per candidate (combinational) or 64
-    // candidate fault machines per stream pass (sequential).
+    // Packed: the fault-free trace, then pattern-parallel per
+    // candidate (combinational) or 64 candidate fault machines per
+    // stream pass (sequential).
     let t = Instant::now();
+    let trace = GoldenTrace::new(golden, pats.iter().cloned(), work)?;
     let packed_fps = if seq {
-        packed_faultsim_seq(golden, &cands, pats, n_po, work)?
+        packed_faultsim_seq(golden, &trace, &cands, n_po, work)?
     } else {
-        packed_faultsim_comb(golden, &cands, pats, n_po, work)?
+        packed_faultsim_comb(golden, &trace, &cands, n_po, work)?
     };
     let packed_pps = evals / t.elapsed().as_secs_f64();
 
@@ -379,34 +374,25 @@ fn faultsim_row(
 
 /// Combinational candidate scoring: for each candidate, sweep the
 /// pattern set 64 lanes at a time with the complement fault active in
-/// every lane, diffing against the fault-free packed pass.
+/// every lane, diffing against the fault-free trace.
 fn packed_faultsim_comb(
     golden: &Netlist,
+    trace: &GoldenTrace,
     cands: &[CellId],
-    pats: &[Vec<bool>],
     n_po: usize,
     work: &mut SimWork,
 ) -> Result<Vec<Footprint>, Box<dyn std::error::Error>> {
     let mut sim = PackedSimulator::new(golden)?;
-    let chunks: Vec<&[Vec<bool>]> = pats.chunks(LANES).collect();
-    let mut gwords: Vec<Vec<u64>> = vec![Vec::with_capacity(chunks.len()); n_po];
-    for chunk in &chunks {
-        sim.load_patterns(chunk);
-        sim.comb_eval();
-        for (k, w) in gwords.iter_mut().enumerate() {
-            w.push(sim.output_word(k));
-        }
-    }
     let mut out = Vec::with_capacity(cands.len());
     for &cand in cands {
         sim.set_fault_lanes(cand, u64::MAX)?;
         let mut onset = None;
         let mut hit = vec![false; n_po];
-        for (c, chunk) in chunks.iter().enumerate() {
+        for (c, chunk) in trace.patterns().chunks(LANES).enumerate() {
             let lanes = sim.load_patterns(chunk);
             sim.comb_eval();
             for (k, h) in hit.iter_mut().enumerate() {
-                let diff = (sim.output_word(k) ^ gwords[k][c]) & lanes;
+                let diff = (sim.output_word(k) ^ trace.output_words(k)[c]) & lanes;
                 if diff != 0 {
                     *h = true;
                     let p = c * LANES + diff.trailing_zeros() as usize;
@@ -426,28 +412,15 @@ fn packed_faultsim_comb(
 /// Sequential candidate scoring: classic parallel-fault simulation —
 /// lane `i` of one stream pass carries candidate `i`'s complement
 /// fault, so each pass scores up to 64 machines against the
-/// broadcast fault-free trace.
+/// fault-free trace bit, broadcast to a full word.
 fn packed_faultsim_seq(
     golden: &Netlist,
+    trace: &GoldenTrace,
     cands: &[CellId],
-    pats: &[Vec<bool>],
     n_po: usize,
     work: &mut SimWork,
 ) -> Result<Vec<Footprint>, Box<dyn std::error::Error>> {
-    // Fault-free stream first: one broadcast pass records each
-    // output's golden bit per cycle, pre-broadcast to a full word.
     let mut sim = PackedSimulator::new(golden)?;
-    let mut gtrace: Vec<Vec<u64>> = Vec::with_capacity(pats.len());
-    for pat in pats {
-        sim.broadcast_inputs(pat);
-        sim.comb_eval();
-        gtrace.push(
-            (0..n_po)
-                .map(|k| 0u64.wrapping_sub(sim.output_word(k) & 1))
-                .collect(),
-        );
-        sim.step();
-    }
     let mut out = Vec::new();
     for batch in cands.chunks(LANES) {
         sim.reset();
@@ -458,12 +431,13 @@ fn packed_faultsim_seq(
         let mut onsets: Vec<Option<usize>> = vec![None; batch.len()];
         let mut hits: Vec<u64> = vec![0; n_po];
         let mut seen: u64 = 0;
-        for (p, pat) in pats.iter().enumerate() {
+        for (p, pat) in trace.patterns().iter().enumerate() {
             sim.broadcast_inputs(pat);
             sim.comb_eval();
             let mut any = 0u64;
             for (k, h) in hits.iter_mut().enumerate() {
-                let diff = sim.output_word(k) ^ gtrace[p][k];
+                let golden_bit = trace.output_words(k)[p / LANES] >> (p % LANES) & 1;
+                let diff = sim.output_word(k) ^ 0u64.wrapping_sub(golden_bit);
                 *h |= diff;
                 any |= diff;
             }

@@ -26,8 +26,7 @@
 use std::collections::HashMap;
 
 use netlist::{CellId, Netlist, NetlistError};
-use sim::patterns::PatternGen;
-use sim::{PackedSimulator, SimWork, LANES};
+use sim::{GoldenTrace, PackedSimulator, SimWork, LANES};
 
 use super::cone::SuspectCone;
 
@@ -90,15 +89,6 @@ impl ResponseSignature {
             .map(|(i, &w)| i * 64 + w.trailing_zeros() as usize)
     }
 
-    /// Whether the output stayed clean on every pattern of the
-    /// observation window `[0, window]` (inclusive). This is the
-    /// windowed analog of [`is_clean`](Self::is_clean): an output
-    /// clean *within a cluster's window* alibis its fanin cone for
-    /// that cluster even if it diverges later in the sweep.
-    pub fn clean_within(&self, window: usize) -> bool {
-        self.first_failing().is_none_or(|p| p > window)
-    }
-
     /// Marks every pattern failing in `other` as failing here too
     /// (set union — how a cluster accumulates the signatures of its
     /// member outputs).
@@ -119,8 +109,6 @@ pub struct ResponseMatrix {
     pub outputs: Vec<CellId>,
     /// One signature per entry of `outputs`.
     pub signatures: Vec<ResponseSignature>,
-    /// How many patterns were swept.
-    pub patterns: usize,
 }
 
 impl ResponseMatrix {
@@ -132,32 +120,31 @@ impl ResponseMatrix {
     }
 }
 
-/// Sweeps `patterns` through both netlists and records, per primary
-/// output, the set of patterns it fails on. Outputs are paired by
-/// cell name, so a DUT carrying leftover debug instrumentation (extra
-/// observation outputs) is compared only on the original outputs.
+/// Sweeps the DUT over the golden trace's patterns and records, per
+/// primary output of `golden` (the trace's model), the set of
+/// patterns it fails on. Outputs are paired by cell name, so a DUT
+/// carrying leftover debug instrumentation (extra observation
+/// outputs) is compared only on the original outputs.
 ///
 /// The sweep runs packed ([`sim::emulate::po_divergence_words`]):
 /// combinational designs evaluate 64 patterns per topo pass and the
 /// divergence words *are* the signature words; sequential designs are
-/// clocked once per pattern without reset, as in
-/// [`sim::emulate::first_mismatch`]. Unlike `first_mismatch` the
-/// sweep does **not** stop at the first divergence — multi-error
-/// diagnosis needs the whole footprint. The sweep's simulation work
-/// is added to `work`.
+/// clocked once per pattern without reset. The sweep does **not**
+/// stop at the first divergence — multi-error diagnosis needs the
+/// whole footprint. The sweep's simulation work is added to `work`.
 ///
 /// # Errors
 ///
 /// Propagates simulator construction failures (combinational loops).
 pub fn collect_responses(
     golden: &Netlist,
+    trace: &GoldenTrace,
     dut: &Netlist,
-    patterns: PatternGen,
     work: &mut SimWork,
 ) -> Result<ResponseMatrix, NetlistError> {
     let outputs = golden.primary_outputs();
     let pairs = po_pairs(golden, dut)?;
-    let (words, count) = sim::emulate::po_divergence_words(golden, dut, &pairs, patterns, work)?;
+    let words = sim::emulate::po_divergence_words(trace, dut, &pairs, work)?;
     let mut signatures = vec![ResponseSignature::default(); outputs.len()];
     for (&(gk, _), w) in pairs.iter().zip(words) {
         signatures[gk] = ResponseSignature::from_words(w);
@@ -165,7 +152,6 @@ pub fn collect_responses(
     Ok(ResponseMatrix {
         outputs,
         signatures,
-        patterns: count,
     })
 }
 
@@ -275,14 +261,12 @@ pub fn cluster_failures(golden: &Netlist, matrix: &ResponseMatrix) -> Vec<Failur
 /// per-candidate queries fall back to batches of one.
 pub struct FaultAttribution<'a> {
     golden: &'a Netlist,
-    patterns: Vec<Vec<bool>>,
+    /// The golden model's patterns and PO words the candidates are
+    /// scored against.
+    trace: &'a GoldenTrace,
     /// Persistent packed engine over the golden model; faults are
     /// planted and cleared around each candidate sweep.
     psim: PackedSimulator<'a>,
-    /// Golden PO words, indexed `[po][pattern / 64]` with bit
-    /// `pattern % 64` = the golden output value.
-    golden_po_words: Vec<Vec<u64>>,
-    sequential: bool,
     /// Cache: candidate cell → predicted failing-PO mask.
     cache: HashMap<CellId, Vec<bool>>,
     /// Work of the worker-local engines pooled primes ran (the
@@ -291,42 +275,17 @@ pub struct FaultAttribution<'a> {
 }
 
 impl<'a> FaultAttribution<'a> {
-    /// Prepares the engine by tracing the golden model once over
-    /// `patterns`.
+    /// Prepares the engine over `golden`, scoring candidates against
+    /// its `trace` (which must have been built from `golden`).
     ///
     /// # Errors
     ///
     /// Propagates simulator construction failures.
-    pub fn new(golden: &'a Netlist, patterns: &[Vec<bool>]) -> Result<Self, NetlistError> {
-        let mut psim = PackedSimulator::new(golden)?;
-        let sequential = golden.is_sequential();
-        let num_pos = golden.primary_outputs().len();
-        let chunks = patterns.len().div_ceil(LANES);
-        let mut golden_po_words = vec![vec![0u64; chunks]; num_pos];
-        if sequential {
-            for (idx, pat) in patterns.iter().enumerate() {
-                psim.broadcast_inputs(pat);
-                psim.comb_eval();
-                for (j, w) in golden_po_words.iter_mut().enumerate() {
-                    w[idx / LANES] |= (psim.output_word(j) & 1) << (idx % LANES);
-                }
-                psim.step();
-            }
-        } else {
-            for (c, chunk) in patterns.chunks(LANES).enumerate() {
-                let lanes = psim.load_patterns(chunk);
-                psim.comb_eval();
-                for (j, w) in golden_po_words.iter_mut().enumerate() {
-                    w[c] = psim.output_word(j) & lanes;
-                }
-            }
-        }
+    pub fn new(golden: &'a Netlist, trace: &'a GoldenTrace) -> Result<Self, NetlistError> {
         Ok(Self {
             golden,
-            patterns: patterns.to_vec(),
-            psim,
-            golden_po_words,
-            sequential,
+            trace,
+            psim: PackedSimulator::new(golden)?,
             cache: HashMap::new(),
             pooled_work: SimWork::default(),
         })
@@ -385,60 +344,30 @@ impl<'a> FaultAttribution<'a> {
                 luts.push(c);
             } else {
                 // Non-LUT candidates predict nothing.
-                self.cache
-                    .insert(c, vec![false; self.golden_po_words.len()]);
+                self.cache.insert(c, vec![false; self.psim.num_outputs()]);
             }
         }
         // One sweep unit = one packed pass: a 64-machine batch on
         // sequential designs, one pattern-parallel candidate on
         // combinational ones.
-        let units: Vec<Vec<CellId>> = if self.sequential {
-            luts.chunks(LANES).map(<[CellId]>::to_vec).collect()
-        } else {
-            luts.iter().map(|&c| vec![c]).collect()
-        };
+        let sequential = self.golden.is_sequential();
+        let units: Vec<&[CellId]> = luts.chunks(if sequential { LANES } else { 1 }).collect();
+        let (golden, trace) = (self.golden, self.trace);
         if workers > 1 && units.len() > 1 {
-            let golden = self.golden;
-            let sequential = self.sequential;
-            let patterns = &self.patterns;
-            let po_words = &self.golden_po_words;
             let swept = parallel::map(workers.min(units.len()), units, |unit| {
                 let mut psim = PackedSimulator::new(golden)?;
-                let masks = if sequential {
-                    sweep_candidate_batch(&mut psim, patterns, po_words, &unit)?
-                } else {
-                    let mask = sweep_candidate_patterns(&mut psim, patterns, po_words, unit[0])?;
-                    vec![(unit[0], mask)]
-                };
+                let masks = sweep_unit(&mut psim, trace, sequential, unit)?;
                 Ok::<_, NetlistError>((masks, psim.work()))
             });
             for unit in swept {
                 let (masks, work) = unit?;
                 self.pooled_work += work;
-                for (c, mask) in masks {
-                    self.cache.insert(c, mask);
-                }
+                self.cache.extend(masks);
             }
         } else {
             for unit in units {
-                if self.sequential {
-                    for (c, mask) in sweep_candidate_batch(
-                        &mut self.psim,
-                        &self.patterns,
-                        &self.golden_po_words,
-                        &unit,
-                    )? {
-                        self.cache.insert(c, mask);
-                    }
-                } else {
-                    let mask = sweep_candidate_patterns(
-                        &mut self.psim,
-                        &self.patterns,
-                        &self.golden_po_words,
-                        unit[0],
-                    )?;
-                    self.cache.insert(unit[0], mask);
-                }
+                let masks = sweep_unit(&mut self.psim, trace, sequential, unit)?;
+                self.cache.extend(masks);
             }
         }
         Ok(())
@@ -478,33 +407,24 @@ impl<'a> FaultAttribution<'a> {
             inter as f64 / uni as f64
         })
     }
+}
 
-    /// The candidate that best explains `observed`, with its score.
-    /// Ties resolve to the lowest cell index; an empty candidate list
-    /// yields `None`. Candidates are [`prime`](Self::prime)d first, so
-    /// sequential designs fault-simulate them 64 machines per pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fault-simulation failures.
-    pub fn best_explanation(
-        &mut self,
-        candidates: &[CellId],
-        observed: &[bool],
-    ) -> Result<Option<(CellId, f64)>, NetlistError> {
-        self.prime(candidates)?;
-        let mut best: Option<(CellId, f64)> = None;
-        for &c in candidates {
-            let s = self.blame_score(c, observed)?;
-            let better = match best {
-                None => true,
-                Some((bc, bs)) => s > bs || (s == bs && c.index() < bc.index()),
-            };
-            if better {
-                best = Some((c, s));
-            }
-        }
-        Ok(best)
+/// Fault-simulates one sweep unit (see
+/// [`FaultAttribution::prime_with_workers`]), returning `(candidate,
+/// failing-PO mask)` pairs in unit order.
+fn sweep_unit(
+    psim: &mut PackedSimulator<'_>,
+    trace: &GoldenTrace,
+    sequential: bool,
+    unit: &[CellId],
+) -> Result<Vec<(CellId, Vec<bool>)>, NetlistError> {
+    if sequential {
+        sweep_candidate_batch(psim, trace, unit)
+    } else {
+        Ok(vec![(
+            unit[0],
+            sweep_candidate_patterns(psim, trace, unit[0])?,
+        )])
     }
 }
 
@@ -520,17 +440,16 @@ impl<'a> FaultAttribution<'a> {
 /// [`prime_with_workers`]: FaultAttribution::prime_with_workers
 fn sweep_candidate_patterns(
     psim: &mut PackedSimulator<'_>,
-    patterns: &[Vec<bool>],
-    golden_po_words: &[Vec<u64>],
+    trace: &GoldenTrace,
     cell: CellId,
 ) -> Result<Vec<bool>, NetlistError> {
-    let mut acc = vec![0u64; golden_po_words.len()];
+    let mut acc = vec![0u64; psim.num_outputs()];
     psim.set_fault_lanes(cell, u64::MAX)?;
-    for (c, chunk) in patterns.chunks(LANES).enumerate() {
+    for (c, chunk) in trace.patterns().chunks(LANES).enumerate() {
         let lanes = psim.load_patterns(chunk);
         psim.comb_eval();
         for (j, a) in acc.iter_mut().enumerate() {
-            *a |= (psim.output_word(j) ^ golden_po_words[j][c]) & lanes;
+            *a |= (psim.output_word(j) ^ trace.output_words(j)[c]) & lanes;
         }
     }
     psim.clear_faults();
@@ -543,22 +462,21 @@ fn sweep_candidate_patterns(
 /// mask)` pairs in batch order.
 fn sweep_candidate_batch(
     psim: &mut PackedSimulator<'_>,
-    patterns: &[Vec<bool>],
-    golden_po_words: &[Vec<u64>],
+    trace: &GoldenTrace,
     batch: &[CellId],
 ) -> Result<Vec<(CellId, Vec<bool>)>, NetlistError> {
     debug_assert!(batch.len() <= LANES);
-    let mut acc = vec![0u64; golden_po_words.len()];
+    let mut acc = vec![0u64; psim.num_outputs()];
     psim.clear_faults();
     psim.reset();
     for (i, &c) in batch.iter().enumerate() {
         psim.set_fault_lanes(c, 1u64 << i)?;
     }
-    for (idx, pat) in patterns.iter().enumerate() {
+    for (idx, pat) in trace.patterns().iter().enumerate() {
         psim.broadcast_inputs(pat);
         psim.comb_eval();
         for (j, a) in acc.iter_mut().enumerate() {
-            let golden_bit = golden_po_words[j][idx / LANES] >> (idx % LANES) & 1;
+            let golden_bit = trace.output_words(j)[idx / LANES] >> (idx % LANES) & 1;
             *a |= psim.output_word(j) ^ 0u64.wrapping_sub(golden_bit);
         }
         psim.step();
@@ -576,6 +494,7 @@ mod tests {
     use super::*;
     use netlist::TruthTable;
     use sim::inject::{inject, DesignErrorKind};
+    use sim::PatternGen;
 
     /// y0 = a AND b through u0; y1 = a XOR c through u1 (independent
     /// cones except for the shared input a).
@@ -596,6 +515,10 @@ mod tests {
         nl
     }
 
+    fn trace(golden: &Netlist) -> GoldenTrace {
+        GoldenTrace::new(golden, PatternGen::exhaustive(3), &mut SimWork::default()).unwrap()
+    }
+
     #[test]
     fn signatures_separate_two_simultaneous_errors() {
         let golden = two_cone_design();
@@ -605,8 +528,7 @@ mod tests {
         inject(&mut dut, u0, DesignErrorKind::FlipRow { row: 3 }).unwrap();
         inject(&mut dut, u1, DesignErrorKind::Complement).unwrap();
         let mut work = SimWork::default();
-        let m = collect_responses(&golden, &dut, PatternGen::exhaustive(3), &mut work).unwrap();
-        assert_eq!(m.patterns, 8);
+        let m = collect_responses(&golden, &trace(&golden), &dut, &mut work).unwrap();
         assert_eq!(m.failing().len(), 2, "both outputs must fail");
         // y0 fails only on a=b=1 (2 of 8 patterns); y1 on all 8.
         assert_eq!(m.signatures[0].count(), 2);
@@ -629,7 +551,7 @@ mod tests {
         let u1 = dut.find_cell("u1").unwrap();
         inject(&mut dut, u1, DesignErrorKind::Complement).unwrap();
         let mut work = SimWork::default();
-        let m = collect_responses(&golden, &dut, PatternGen::exhaustive(3), &mut work).unwrap();
+        let m = collect_responses(&golden, &trace(&golden), &dut, &mut work).unwrap();
         let clusters = cluster_failures(&golden, &m);
         assert_eq!(clusters.len(), 1);
         let cl = &clusters[0];
@@ -650,7 +572,7 @@ mod tests {
     fn clean_design_yields_no_clusters() {
         let golden = two_cone_design();
         let mut work = SimWork::default();
-        let m = collect_responses(&golden, &golden, PatternGen::exhaustive(3), &mut work).unwrap();
+        let m = collect_responses(&golden, &trace(&golden), &golden, &mut work).unwrap();
         assert!(m.failing().is_empty());
         assert!(cluster_failures(&golden, &m).is_empty());
     }
@@ -658,8 +580,8 @@ mod tests {
     #[test]
     fn fault_simulation_blames_the_right_cone() {
         let golden = two_cone_design();
-        let pats: Vec<Vec<bool>> = PatternGen::exhaustive(3).collect();
-        let mut att = FaultAttribution::new(&golden, &pats).unwrap();
+        let t = trace(&golden);
+        let mut att = FaultAttribution::new(&golden, &t).unwrap();
         let u0 = golden.find_cell("u0").unwrap();
         let u1 = golden.find_cell("u1").unwrap();
         // Observed: only y1 failing (an error somewhere in u1's cone).
@@ -667,9 +589,7 @@ mod tests {
         let s0 = att.blame_score(u0, &observed).unwrap();
         let s1 = att.blame_score(u1, &observed).unwrap();
         assert!(s1 > s0, "u1 {s1} must beat u0 {s0}");
-        let best = att.best_explanation(&[u0, u1], &observed).unwrap().unwrap();
-        assert_eq!(best.0, u1);
-        assert!(best.1 > 0.99, "exact footprint match expected");
+        assert!(s1 > 0.99, "exact footprint match expected");
         // Non-LUT candidates predict nothing and score zero.
         let a = golden.find_cell("a").unwrap();
         assert_eq!(att.blame_score(a, &observed).unwrap(), 0.0);
@@ -678,19 +598,20 @@ mod tests {
     #[test]
     fn pooled_prime_reports_the_same_work_as_serial() {
         let golden = two_cone_design();
-        let pats: Vec<Vec<bool>> = PatternGen::exhaustive(3).collect();
+        let t = trace(&golden);
         let cands = [
             golden.find_cell("u0").unwrap(),
             golden.find_cell("u1").unwrap(),
         ];
         let primed = |workers| {
-            let mut att = FaultAttribution::new(&golden, &pats).unwrap();
+            let mut att = FaultAttribution::new(&golden, &t).unwrap();
             att.prime_with_workers(&cands, workers).unwrap();
             att.work()
         };
         let serial = primed(1);
-        // The golden trace plus one pattern-parallel pass per candidate.
-        assert_eq!(serial.sweeps, 3);
+        // One pattern-parallel pass per candidate; the golden side is
+        // the trace's.
+        assert_eq!(serial.sweeps, 2);
         assert_eq!(primed(4), serial);
     }
 }

@@ -535,7 +535,11 @@ mod tests {
                 .complement();
             td.netlist.set_lut_function(victim, tt).unwrap();
             let out = flow.reimplement(&mut td, &[victim], &[]).unwrap();
-            assert!(out.effort.total() > 0, "{} did no work", flow.name());
+            // A function-only change moves no cell and no net: the
+            // tiled flow's incremental ECO costs exactly nothing (the
+            // zero-reroute ECO gate), every other flow re-places.
+            let tiled = flow.name() == "tiled";
+            assert_eq!(out.effort.total() == 0, tiled, "{}", flow.name());
             assert!(
                 td.routing.is_feasible(),
                 "{} left infeasible routing",

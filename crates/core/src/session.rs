@@ -31,7 +31,7 @@ use sim::emulate::Mismatch;
 use sim::inject::InjectedError;
 use sim::patterns::PatternGen;
 use sim::testlogic::{insert_control_point, insert_observation_tap};
-use sim::SimWork;
+use sim::{GoldenTrace, SimWork};
 
 use crate::diagnosis::attribution::po_pairs;
 use crate::diagnosis::scheduler::Ambiguity;
@@ -243,8 +243,9 @@ pub struct ClusterOutcome {
     /// compares only this cluster's outputs — other live errors keep
     /// the rest of the design diverging.
     pub confirmed_by_control: bool,
-    /// Index of the planted error this cluster was matched to (exact
-    /// localized-cell agreement first, then cone containment).
+    /// Index into [`ConcurrentOutcome::planted`] of the error this
+    /// cluster was matched to (exact localized-cell agreement first,
+    /// then cone containment).
     pub matched_error: Option<usize>,
     /// Taps this cluster's strategy requested. Requests deduplicate
     /// across clusters before insertion, so the sum over clusters
@@ -278,6 +279,9 @@ pub struct ConcurrentOutcome {
     pub ledger: EffortLedger,
     /// Whether the whole DUT matches the golden model at the end.
     pub repaired: bool,
+    /// The planted error sites, in the order
+    /// [`ClusterOutcome::matched_error`] indexes them.
+    pub planted: Vec<CellId>,
     /// Name of the localization strategy driving every cluster.
     pub strategy: &'static str,
     /// Name of the physical flow that ran.
@@ -301,6 +305,10 @@ impl ConcurrentOutcome {
         self.clusters.iter().map(|c| c.taps_requested).sum()
     }
 }
+
+/// Why a sweep may read the session's golden trace: every entry point
+/// runs the pre-flight first.
+const TRACED: &str = "the pre-flight builds the golden trace";
 
 /// Boxed progress callback (see [`DebugSession::on_event`]). `Send`
 /// so a whole configured session can cross to a fleet worker thread.
@@ -348,7 +356,9 @@ pub struct DebugSession<'a> {
     on_event: Option<EventCallback<'a>>,
     metrics: Option<&'a MetricsRegistry>,
     trace: Option<(&'a Tracer, TrackId)>,
-    preflighted: bool,
+    /// The golden model's response to the session's stimulus, built
+    /// once by the pre-flight; every sweep compares against it.
+    golden_trace: Option<GoldenTrace>,
     work: SessionWork,
 }
 
@@ -368,7 +378,7 @@ impl<'a> DebugSession<'a> {
             on_event: None,
             metrics: None,
             trace: None,
-            preflighted: false,
+            golden_trace: None,
             work: SessionWork::default(),
         }
     }
@@ -524,10 +534,6 @@ impl<'a> DebugSession<'a> {
         }
     }
 
-    fn patterns_for(&self, nl: &Netlist) -> PatternGen {
-        self.patterns.generate(nl, self.seed)
-    }
-
     /// One ECO through the session flow, its placement and routing
     /// work summed into the session's.
     fn reimplement(
@@ -540,15 +546,17 @@ impl<'a> DebugSession<'a> {
         Ok(phys)
     }
 
-    /// The DRC pre-flight, run once per session before any entry
-    /// point touches the design: a structurally broken DUT (cyclic,
-    /// multi-driven, dangling routes, …) gets a typed
+    /// The pre-flight, run once per session before any entry point
+    /// touches the design. First the DRC: a structurally broken DUT
+    /// (cyclic, multi-driven, dangling routes, …) gets a typed
     /// [`TilingError::Drc`] instead of a panic or livelock deep in
     /// simulation or the flow. Findings — warnings included — land in
-    /// the metrics registry as `drc_findings_total{rule=…}`, and a
-    /// traced session gets a `preflight` span.
+    /// the metrics registry as `drc_findings_total{rule=…}`. Then the
+    /// session's one golden simulation: the [`GoldenTrace`] every
+    /// sweep compares the DUT against. A traced session gets one
+    /// `preflight` span covering both.
     fn preflight(&mut self) -> Result<(), TilingError> {
-        if self.preflighted {
+        if self.golden_trace.is_some() {
             return Ok(());
         }
         let t0 = self.span_begin();
@@ -560,10 +568,16 @@ impl<'a> DebugSession<'a> {
         if let Some(reg) = self.metrics {
             drc::record_findings(reg, findings);
         }
+        let count = findings.len() as u64;
+        let result = result.and_then(|_| {
+            let patterns = self.patterns.generate(self.golden, self.seed);
+            Ok(GoldenTrace::new(self.golden, patterns, &mut self.work.sim)?)
+        });
         if let Some((tracer, track)) = self.trace {
-            tracer.complete(track, "preflight", "drc", t0, findings.len() as u64);
+            tracer.complete(track, "preflight", "drc", t0, count);
         }
-        result.map(|_| self.preflighted = true)
+        self.golden_trace = Some(result?);
+        Ok(())
     }
 
     /// Runs one full detect → localize → confirm → correct iteration
@@ -604,12 +618,8 @@ impl<'a> DebugSession<'a> {
         // ---- Detection (steps 10, 21): one full response sweep --------
         let t_detect = self.span_begin();
         let detect_before = outcome.ledger;
-        let matrix = collect_responses(
-            self.golden,
-            &self.td.netlist,
-            self.patterns_for(self.golden),
-            &mut self.work.sim,
-        )?;
+        let trace = self.golden_trace.as_ref().expect(TRACED);
+        let matrix = collect_responses(self.golden, trace, &self.td.netlist, &mut self.work.sim)?;
         let mismatch = matrix_mismatch(self.golden, &matrix)?;
         self.phase_mark(Phase::Detect, t_detect, detect_before, &outcome.ledger);
         let Some(mismatch) = mismatch else {
@@ -634,11 +644,10 @@ impl<'a> DebugSession<'a> {
         // stop at the first site the §4.1 control point confirms —
         // evidence accumulated by one attempt (every measured onset)
         // carries over to the next for free.
-        let pats: Vec<Vec<bool>> = self.patterns_for(self.golden).collect();
         let t_localize = self.span_begin();
         let localize_before = outcome.ledger;
         let (mut evidence, clusters, witness_taps, _) =
-            self.screened_clusters(&matrix, &pats, &mut outcome.ledger)?;
+            self.screened_clusters(&matrix, &mut outcome.ledger)?;
         outcome.taps_inserted = witness_taps;
         let order = self.golden.topo_order()?;
         let rank: HashMap<CellId, usize> = order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
@@ -693,13 +702,8 @@ impl<'a> DebugSession<'a> {
             attempts += 1;
             let mut scheduler = MultiErrorScheduler::new(LinearBatches::DEFAULT_BATCH);
             scheduler.add_error(self.golden, &suspects, window, self.strategy.fresh());
-            let stats = self.run_tap_rounds(
-                &mut scheduler,
-                &mut evidence,
-                &pats,
-                &mut outcome.ledger,
-                &mut [],
-            )?;
+            let stats =
+                self.run_tap_rounds(&mut scheduler, &mut evidence, &mut outcome.ledger, &mut [])?;
             outcome.taps_inserted += stats.taps_inserted;
             let Some(site) = scheduler.localized()[0] else {
                 continue;
@@ -781,7 +785,7 @@ impl<'a> DebugSession<'a> {
     /// to repair, done ([`run_campaign_serial`](Self::run_campaign_serial)).
     /// With more than one seed, all errors are planted *simultaneously*
     /// and diagnosed through the [`crate::diagnosis`] scheduler
-    /// ([`run_concurrent`](Self::run_concurrent)), so one batch of
+    /// ([`run_concurrent_campaign`](Self::run_concurrent_campaign)), so one batch of
     /// observation taps — and one corrective ECO — serves every live
     /// error; the result is then adapted back into per-error rows.
     /// Errors no cluster was matched to report `mismatch: None`, like
@@ -794,34 +798,19 @@ impl<'a> DebugSession<'a> {
     ///
     /// Propagates injection and flow failures.
     pub fn run_campaign(&mut self, seeds: &[u64]) -> Result<CampaignOutcome, TilingError> {
-        self.preflight()?;
         if seeds.len() <= 1 {
             return self.run_campaign_serial(seeds);
         }
-        let errors = sim::inject::random_distinct_errors(&mut self.td.netlist, seeds)?;
-        for (iteration, error) in errors.iter().enumerate() {
-            self.emit(DebugEvent::ErrorInjected {
-                iteration,
-                cell: error.cell,
-            });
-        }
-        let conc = self.run_concurrent(&errors)?;
+        let conc = self.run_concurrent_campaign(seeds)?;
         let mut campaign = CampaignOutcome {
             iterations: Vec::new(),
             ledger: conc.ledger,
         };
         let pos = self.golden.primary_outputs();
-        let sequential = self.golden.is_sequential();
-        for i in 0..errors.len() {
+        for i in 0..conc.planted.len() {
             let row = match conc.clusters.iter().find(|c| c.matched_error == Some(i)) {
                 Some(c) => DebugOutcome {
-                    mismatch: Some(synthesized_mismatch(
-                        self.golden,
-                        &pos,
-                        &conc.clusters,
-                        c,
-                        sequential,
-                    )?),
+                    mismatch: Some(synthesized_mismatch(self.golden, &pos, &conc.clusters, c)?),
                     initial_suspects: c.cone_size,
                     localized: c.localized,
                     taps_inserted: c.taps_requested,
@@ -861,8 +850,10 @@ impl<'a> DebugSession<'a> {
         // campaign ledger exactly as on the serial path.
         for cl in conc.clusters.iter().filter(|c| c.matched_error.is_none()) {
             let cone = SuspectCone::fanin(self.golden, &cl.outputs);
-            let i = (0..errors.len())
-                .find(|&i| cone.contains(errors[i].cell))
+            let i = conc
+                .planted
+                .iter()
+                .position(|&cell| cone.contains(cell))
                 .unwrap_or(0);
             let row = &mut campaign.iterations[i];
             row.ledger.merge(&cl.ledger);
@@ -961,6 +952,7 @@ impl<'a> DebugSession<'a> {
             shared_core_cells: 0,
             ledger: EffortLedger::default(),
             repaired: false,
+            planted: errors.iter().map(|e| e.cell).collect(),
             strategy: self.strategy.name(),
             flow: self.flow.name(),
         };
@@ -968,12 +960,8 @@ impl<'a> DebugSession<'a> {
         // ---- Detection: one full response sweep -----------------------
         let t_detect = self.span_begin();
         let detect_before = outcome.ledger;
-        let matrix = collect_responses(
-            self.golden,
-            &self.td.netlist,
-            self.patterns_for(self.golden),
-            &mut self.work.sim,
-        )?;
+        let trace = self.golden_trace.as_ref().expect(TRACED);
+        let matrix = collect_responses(self.golden, trace, &self.td.netlist, &mut self.work.sim)?;
         let raw_clusters = cluster_failures(self.golden, &matrix);
         self.phase_mark(Phase::Detect, t_detect, detect_before, &outcome.ledger);
         if raw_clusters.is_empty() {
@@ -991,11 +979,10 @@ impl<'a> DebugSession<'a> {
         }
 
         // ---- Shared diagnosis pipeline --------------------------------
-        let pats: Vec<Vec<bool>> = self.patterns_for(self.golden).collect();
         let t_localize = self.span_begin();
         let localize_before = outcome.ledger;
         let mut ledger = std::mem::take(&mut outcome.ledger);
-        let mut diagnosis = self.diagnose(&matrix, &pats, &mut ledger)?;
+        let mut diagnosis = self.diagnose(&matrix, &mut ledger)?;
         outcome.ledger = ledger;
         outcome.rounds = diagnosis.rounds;
         outcome.taps_inserted = diagnosis.taps_inserted;
@@ -1010,8 +997,10 @@ impl<'a> DebugSession<'a> {
         // Score each ambiguous shared-core divergence against every
         // implicated cluster's observed footprint; report the best
         // match.
+        let mut blamed = Vec::new();
         if !diagnosis.ambiguities.is_empty() {
-            let mut attribution = FaultAttribution::new(self.golden, &pats)?;
+            let trace = self.golden_trace.as_ref().expect(TRACED);
+            let mut attribution = FaultAttribution::new(self.golden, trace)?;
             // Prime the whole ambiguity set up front: sequential
             // designs fault-simulate 64 candidate machines per packed
             // stream pass instead of one hypothesis netlist each.
@@ -1032,13 +1021,16 @@ impl<'a> DebugSession<'a> {
                     }
                 }
                 if let Some((cluster, score)) = best {
-                    self.emit(DebugEvent::Attribution {
+                    blamed.push(DebugEvent::Attribution {
                         cell: amb.cell,
                         cluster,
                         score,
                     });
                 }
             }
+        }
+        for event in blamed {
+            self.emit(event);
         }
         for &cell in &localized {
             self.emit(DebugEvent::Localized { cell });
@@ -1159,11 +1151,10 @@ impl<'a> DebugSession<'a> {
     fn diagnose(
         &mut self,
         matrix: &ResponseMatrix,
-        pats: &[Vec<bool>],
         ledger: &mut EffortLedger,
     ) -> Result<Diagnosis, TilingError> {
         let (mut evidence, clusters, taps_inserted, merge_screen) =
-            self.screened_clusters(matrix, pats, ledger)?;
+            self.screened_clusters(matrix, ledger)?;
 
         let order = self.golden.topo_order()?;
         let rank: HashMap<CellId, usize> = order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
@@ -1196,13 +1187,8 @@ impl<'a> DebugSession<'a> {
                 &vec![1usize; n],
             );
         }
-        let stats = self.run_tap_rounds(
-            &mut scheduler,
-            &mut evidence,
-            pats,
-            ledger,
-            &mut cluster_ledgers,
-        )?;
+        let stats =
+            self.run_tap_rounds(&mut scheduler, &mut evidence, ledger, &mut cluster_ledgers)?;
         self.record_evidence(&evidence);
         Ok(Diagnosis {
             clusters,
@@ -1238,7 +1224,6 @@ impl<'a> DebugSession<'a> {
     fn screened_clusters(
         &mut self,
         matrix: &ResponseMatrix,
-        pats: &[Vec<bool>],
         ledger: &mut EffortLedger,
     ) -> Result<
         (
@@ -1262,7 +1247,7 @@ impl<'a> DebugSession<'a> {
         let mut merge_screen: Vec<(CadEffort, usize)> = Vec::new();
         let mut taps_inserted = 0usize;
         for (eco_no, batch) in witnesses.chunks(LinearBatches::DEFAULT_BATCH).enumerate() {
-            let (onsets, effort, tiles) = self.measure_batch(batch, pats, eco_no)?;
+            let (onsets, effort, tiles) = self.measure_batch(batch, eco_no)?;
             taps_inserted += batch.len();
             ledger.charge(Phase::Localize, effort, tiles);
             merge_screen.push((effort, tiles));
@@ -1349,7 +1334,6 @@ impl<'a> DebugSession<'a> {
     fn measure_batch(
         &mut self,
         batch: &[CellId],
-        pats: &[Vec<bool>],
         eco_no: usize,
     ) -> Result<(Vec<Option<usize>>, CadEffort, usize), TilingError> {
         let mut added = Vec::new();
@@ -1379,11 +1363,11 @@ impl<'a> DebugSession<'a> {
             cells: batch.to_vec(),
             effort: phys.effort,
         });
+        let trace = self.golden_trace.as_ref().expect(TRACED);
         let onsets = sim::emulate::net_first_divergences(
-            self.golden,
+            trace,
             &self.td.netlist,
             &nets,
-            pats,
             &mut self.work.sim,
         )?;
         self.emit(DebugEvent::Observed {
@@ -1408,7 +1392,6 @@ impl<'a> DebugSession<'a> {
         &mut self,
         scheduler: &mut MultiErrorScheduler,
         evidence: &mut EvidenceBase,
-        pats: &[Vec<bool>],
         ledger: &mut EffortLedger,
         per_track: &mut [EffortLedger],
     ) -> Result<RoundStats, TilingError> {
@@ -1437,7 +1420,7 @@ impl<'a> DebugSession<'a> {
                         })
                         .collect()
                 };
-                let (onsets, effort, tiles) = self.measure_batch(batch, pats, eco_no)?;
+                let (onsets, effort, tiles) = self.measure_batch(batch, eco_no)?;
                 eco_no += 1;
                 stats.taps_inserted += batch.len();
                 ledger.charge(Phase::Localize, effort, tiles);
@@ -1492,14 +1475,16 @@ impl<'a> DebugSession<'a> {
 
         // DUT inputs: golden pattern, then [force_val, force_en] (the
         // two new PIs append to the input order); the packed sweep
-        // drives force_val with the golden model's word for `net`.
+        // drives force_val with the golden trace's words for `net`
+        // over the first 256 patterns.
         let pairs = self.po_pairs_for(outputs)?;
+        let trace = self.golden_trace.as_ref().expect(TRACED);
         let confirmed = sim::emulate::forced_outputs_equivalent(
-            self.golden,
+            trace,
             &self.td.netlist,
             net,
             &pairs,
-            self.patterns_for(self.golden).take(256),
+            256,
             &mut self.work.sim,
         )?;
 
@@ -1547,11 +1532,11 @@ impl<'a> DebugSession<'a> {
         // The DUT may have grown extra PIs (control points); the
         // packed sweep drives them inactive.
         let pairs = self.po_pairs_for(outputs)?;
+        let trace = self.golden_trace.as_ref().expect(TRACED);
         Ok(sim::emulate::outputs_equivalent(
-            self.golden,
+            trace,
             &self.td.netlist,
             &pairs,
-            self.patterns_for(self.golden),
             &mut self.work.sim,
         )?)
     }
@@ -1695,31 +1680,33 @@ fn matrix_mismatch(
     golden: &Netlist,
     matrix: &ResponseMatrix,
 ) -> Result<Option<Mismatch>, TilingError> {
-    let first = matrix
-        .signatures
+    let sigs = &matrix.signatures;
+    let Some(first) = sigs
         .iter()
         .filter_map(ResponseSignature::first_failing)
-        .min();
-    let Some(pattern_index) = first else {
+        .min()
+    else {
         return Ok(None);
     };
-    let output_ok: Vec<bool> = matrix
-        .signatures
-        .iter()
-        .map(|s| !s.contains(pattern_index))
-        .collect();
+    let output_ok = sigs.iter().map(|s| !s.contains(first)).collect();
+    mismatch_at(golden, &matrix.outputs, first, output_ok).map(Some)
+}
+
+/// The first-mismatch record at `pattern_index`, given which golden
+/// primary outputs (`pos`, PO order) still matched there.
+fn mismatch_at(
+    golden: &Netlist,
+    pos: &[CellId],
+    pattern_index: usize,
+    output_ok: Vec<bool>,
+) -> Result<Mismatch, TilingError> {
     let output_index = output_ok.iter().position(|&ok| !ok).unwrap_or(0);
-    Ok(Some(Mismatch {
+    Ok(Mismatch {
         pattern_index,
-        cycle: if golden.is_sequential() {
-            pattern_index as u64
-        } else {
-            0
-        },
         output_index,
-        output_name: golden.cell(matrix.outputs[output_index])?.name.clone(),
+        output_name: golden.cell(pos[output_index])?.name.clone(),
         output_ok,
-    }))
+    })
 }
 
 /// The serial path's sharpest one-cluster view of a failing sweep:
@@ -1779,25 +1766,17 @@ fn synthesized_mismatch(
     pos: &[CellId],
     clusters: &[ClusterOutcome],
     cluster: &ClusterOutcome,
-    sequential: bool,
 ) -> Result<Mismatch, TilingError> {
-    let pattern_index = cluster.signature.first_failing().unwrap_or(0);
-    let output_ok: Vec<bool> = pos
+    let first = cluster.signature.first_failing().unwrap_or(0);
+    let output_ok = pos
         .iter()
         .map(|po| {
-            !clusters
-                .iter()
-                .any(|cl| cl.outputs.contains(po) && cl.signature.contains(pattern_index))
+            let failed =
+                |cl: &ClusterOutcome| cl.outputs.contains(po) && cl.signature.contains(first);
+            !clusters.iter().any(failed)
         })
         .collect();
-    let output_index = output_ok.iter().position(|&ok| !ok).unwrap_or(0);
-    Ok(Mismatch {
-        pattern_index,
-        cycle: if sequential { pattern_index as u64 } else { 0 },
-        output_index,
-        output_name: golden.cell(pos[output_index])?.name.clone(),
-        output_ok,
-    })
+    mismatch_at(golden, pos, first, output_ok)
 }
 
 /// Splits `total` proportionally to `weights`, exactly: shares sum to
@@ -1857,7 +1836,6 @@ mod tests {
     use super::*;
     use crate::flow::{implement, TilingOptions};
     use crate::strategy::BinarySearch;
-    use sim::emulate::first_mismatch;
     use sim::inject::random_error;
     use synth::PaperDesign;
 
@@ -1970,9 +1948,7 @@ mod tests {
         assert!(events.iter().any(|e| e.contains("ConeSplit")));
         assert!(events.iter().any(|e| e.contains("Corrected")));
         // The DUT really is clean.
-        let pats = PatternSpec::Auto.generate(&golden, 5);
-        let m = first_mismatch(&golden, &td.netlist, pats, &mut SimWork::default()).unwrap();
-        assert!(m.is_none());
+        assert!(is_clean(&golden, &td.netlist, 5));
     }
 
     #[test]
@@ -1989,8 +1965,19 @@ mod tests {
         assert!(campaign.total_effort().total() > 0);
         assert!(td.routing.is_feasible());
         // The DUT really is clean at the end.
-        let pats = PatternSpec::Auto.generate(&golden, 7);
-        let m = first_mismatch(&golden, &td.netlist, pats, &mut SimWork::default()).unwrap();
-        assert!(m.is_none(), "campaign left a live bug behind");
+        assert!(
+            is_clean(&golden, &td.netlist, 7),
+            "campaign left a live bug behind"
+        );
+    }
+
+    /// Whether `dut`'s original outputs match `golden` on a session's
+    /// default stimulus for `seed`.
+    fn is_clean(golden: &Netlist, dut: &Netlist, seed: u64) -> bool {
+        let w = &mut SimWork::default();
+        let pats = PatternSpec::Auto.generate(golden, seed);
+        let trace = GoldenTrace::new(golden, pats, w).unwrap();
+        let pairs = po_pairs(golden, dut).unwrap();
+        sim::emulate::outputs_equivalent(&trace, dut, &pairs, w).unwrap()
     }
 }

@@ -58,12 +58,7 @@ struct Row {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let args: Vec<String> = std::env::args().collect();
-    let trace_base = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1).cloned());
+    let (quick, trace_base) = obs::bench_flags(std::env::args());
     let designs: &[PaperDesign] = if quick {
         &[PaperDesign::NineSym]
     } else {
@@ -157,14 +152,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     if let (Some(base), Some(tracer)) = (trace_base.as_deref(), tracer.as_ref()) {
-        let base = obs::artifact_base(base)?;
+        let base = obs::write_artifacts(base, tracer, &pool_registry)?;
         let base = base.display();
-        std::fs::write(format!("{base}.trace.json"), tracer.to_chrome_trace())?;
-        std::fs::write(format!("{base}.trace.jsonl"), tracer.to_jsonl())?;
-        std::fs::write(
-            format!("{base}.metrics.prom"),
-            pool_registry.render_prometheus(),
-        )?;
         std::fs::write(
             format!("{base}.metrics.serial.prom"),
             serial_registry.render_prometheus(),

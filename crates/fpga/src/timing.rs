@@ -2,12 +2,10 @@
 //!
 //! Table 1 of the paper reports a *timing overhead* column: the change
 //! in post-route critical path caused by tiling constraints. This
-//! module computes that critical path. Two accuracy levels exist:
-//!
-//! * [`TimingReport::analyze_routed`] — sums intrinsic RRG node delays
-//!   along each net's actual route (post-route signoff);
-//! * [`TimingReport::analyze_placed`] — estimates net delays from
-//!   placement Manhattan distance (pre-route, used inside the placer).
+//! module computes that critical path with
+//! [`TimingReport::analyze_routed`]: it sums intrinsic RRG node delays
+//! along each net's actual route (post-route signoff), and estimates
+//! unrouted nets from placement Manhattan distance.
 
 use netlist::{CellId, CellKind, Netlist, NetlistError};
 
@@ -85,22 +83,6 @@ impl TimingReport {
                 .route(net)
                 .and_then(|tree| tree.sink_delay(rrg, sink_idx))
                 .unwrap_or_else(|| estimate(nl, device, placement, model, net, sink_idx))
-        })
-    }
-
-    /// Pre-route analysis using Manhattan-distance estimates.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetlistError::CombinationalLoop`] from ordering.
-    pub fn analyze_placed(
-        nl: &Netlist,
-        device: &Device,
-        placement: &Placement,
-        model: &DelayModel,
-    ) -> Result<Self, NetlistError> {
-        analyze(nl, model, |net, sink_idx| {
-            estimate(nl, device, placement, model, net, sink_idx)
         })
     }
 }
@@ -240,6 +222,14 @@ mod tests {
         nl
     }
 
+    /// Analysis with no route at all: every net falls back to the
+    /// placement estimate.
+    fn unrouted(nl: &Netlist, dev: &Device, p: &Placement, m: &DelayModel) -> TimingReport {
+        let rrg = RoutingGraph::new(dev);
+        let routing = Routing::new(rrg.num_nodes());
+        TimingReport::analyze_routed(nl, dev, p, &routing, &rrg, m).unwrap()
+    }
+
     fn placed_chain(spread: u16) -> (Netlist, Device, Placement) {
         let nl = chain();
         let dev = Device::new(8, 8, 4, 2).unwrap();
@@ -278,8 +268,8 @@ mod tests {
         let (nl, dev, p1) = placed_chain(1);
         let (nl2, dev2, p2) = placed_chain(7);
         let m = DelayModel::default();
-        let t1 = TimingReport::analyze_placed(&nl, &dev, &p1, &m).unwrap();
-        let t2 = TimingReport::analyze_placed(&nl2, &dev2, &p2, &m).unwrap();
+        let t1 = unrouted(&nl, &dev, &p1, &m);
+        let t2 = unrouted(&nl2, &dev2, &p2, &m);
         assert!(t2.critical_ns > t1.critical_ns);
         assert!(t1.fmax_mhz() > t2.fmax_mhz());
     }
@@ -288,7 +278,7 @@ mod tests {
     fn critical_path_walks_the_chain() {
         let (nl, dev, p) = placed_chain(3);
         let m = DelayModel::default();
-        let t = TimingReport::analyze_placed(&nl, &dev, &p, &m).unwrap();
+        let t = unrouted(&nl, &dev, &p, &m);
         let names: Vec<&str> = t
             .critical_path
             .iter()
@@ -312,7 +302,7 @@ mod tests {
         p.place(ff, BelLoc::clb(0, 0, ClbSlot::FfA)).unwrap();
         p.place(inv, BelLoc::clb(0, 0, ClbSlot::LutF)).unwrap();
         let m = DelayModel::default();
-        let t = TimingReport::analyze_placed(&nl, &dev, &p, &m).unwrap();
+        let t = unrouted(&nl, &dev, &p, &m);
         // clk->q + net + lut + net + setup, nets at distance 0.
         let expect = m.ff_clk_to_q + m.est_base + m.lut + m.est_base + m.ff_setup;
         assert!(
@@ -327,7 +317,7 @@ mod tests {
         let nl = Netlist::new("empty");
         let dev = Device::new(2, 2, 2, 2).unwrap();
         let p = Placement::new(0);
-        let t = TimingReport::analyze_placed(&nl, &dev, &p, &DelayModel::default()).unwrap();
+        let t = unrouted(&nl, &dev, &p, &DelayModel::default());
         assert_eq!(t.critical_ns, 0.0);
         assert!(t.worst_endpoint.is_none());
         assert!(t.fmax_mhz().is_infinite());
@@ -353,7 +343,7 @@ mod tests {
         );
         let m = DelayModel::default();
         let routed = TimingReport::analyze_routed(&nl, &dev, &p, &routing, &rrg, &m).unwrap();
-        let placed = TimingReport::analyze_placed(&nl, &dev, &p, &m).unwrap();
+        let placed = unrouted(&nl, &dev, &p, &m);
         // The routed l1->l2 hop (1.05ns) is cheaper than the 3-CLB
         // estimate (0.8 + 3*0.35 = 1.85ns).
         assert!(routed.critical_ns < placed.critical_ns);

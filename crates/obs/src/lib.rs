@@ -27,7 +27,7 @@ pub mod artifacts;
 pub mod metrics;
 pub mod trace;
 
-pub use artifacts::{artifact_base, ARTIFACT_DIR};
+pub use artifacts::{artifact_base, bench_flags, write_artifacts, ARTIFACT_DIR};
 pub use metrics::{
     HistogramData, MetricValue, MetricsRegistry, MetricsSnapshot, Section, MEASURED_MARKER,
 };

@@ -253,14 +253,21 @@ mod tests {
             let loc = p.loc_of(u).unwrap();
             assert!(region.contains(loc.coord().unwrap()), "{u} at {loc}");
         }
-        // 4 LUTs into 2 LUT slots per CLB: exactly two CLBs used.
+        // The nearest CLB, (4,4), takes two LUTs: its spread penalty
+        // (0.75 per occupied slot) cannot outweigh ring 1's extra 9
+        // units of squared distance. The two equidistant ring-1 CLBs
+        // then take one LUT each: breaking exact ties toward the
+        // emptier CLB is what the penalty is for.
         let mut coords: Vec<Coord> = luts
             .iter()
             .map(|&u| p.loc_of(u).unwrap().coord().unwrap())
             .collect();
         coords.sort_unstable();
+        assert_eq!(coords.iter().filter(|&&c| c == Coord::new(4, 4)).count(), 2);
         coords.dedup();
-        assert_eq!(coords.len(), 2);
+        let mut spread = vec![Coord::new(4, 4), Coord::new(4, 5), Coord::new(5, 4)];
+        spread.sort_unstable();
+        assert_eq!(coords, spread);
     }
 
     #[test]

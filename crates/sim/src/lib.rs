@@ -18,7 +18,8 @@
 //!   cost out;
 //! * [`emulate`] — golden-vs-DUT comparison with *primary-output-only*
 //!   observability, which is exactly why observation logic must be
-//!   inserted at all.
+//!   inserted at all; the golden side is a [`GoldenTrace`] simulated
+//!   once per stimulus set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +31,7 @@ pub mod patterns;
 pub mod simulator;
 pub mod testlogic;
 
-pub use emulate::{first_mismatch, Mismatch};
+pub use emulate::{GoldenTrace, Mismatch};
 pub use inject::{
     inject, random_distinct_errors, random_error, repair_op, DesignErrorKind, InjectedError,
 };

@@ -202,11 +202,6 @@ impl<'a> PackedSimulator<'a> {
         })
     }
 
-    /// Number of primary inputs.
-    pub fn num_inputs(&self) -> usize {
-        self.num_inputs
-    }
-
     /// Number of primary outputs.
     pub fn num_outputs(&self) -> usize {
         self.po_nets.len()
@@ -265,17 +260,11 @@ impl<'a> PackedSimulator<'a> {
     /// Panics if the width differs from the PI count.
     pub fn broadcast_inputs(&mut self, pat: &[bool]) {
         assert_eq!(pat.len(), self.num_inputs, "input width mismatch");
-        self.broadcast_inputs_padded(pat);
-    }
-
-    /// Like [`broadcast_inputs`](Self::broadcast_inputs) but missing
-    /// inputs are driven false and excess bits ignored.
-    pub fn broadcast_inputs_padded(&mut self, pat: &[bool]) {
         // Machines-as-lanes mode: one stimulus pattern drives all 64
         // lanes, so this counts as a single loaded lane.
         self.work.lanes_loaded += 1;
-        for (k, word) in self.inputs.iter_mut().enumerate() {
-            *word = broadcast(pat.get(k).copied().unwrap_or(false));
+        for (word, &bit) in self.inputs.iter_mut().zip(pat) {
+            *word = broadcast(bit);
         }
     }
 

@@ -164,14 +164,16 @@ fn functional_equivalence_preserved_by_physical_eco() {
     TiledFlow::default()
         .reimplement(&mut td, &[victim], &[])
         .unwrap();
-    let m = sim::emulate::first_mismatch(
-        &golden,
-        &td.netlist,
-        sim::PatternGen::random(golden.primary_inputs().len(), 128, 9),
-        &mut sim::SimWork::default(),
-    )
-    .unwrap();
-    assert_eq!(m, None, "physical ECO changed behaviour");
+    let w = &mut sim::SimWork::default();
+    let pats = sim::PatternGen::random(golden.primary_inputs().len(), 128, 9);
+    let trace = sim::GoldenTrace::new(&golden, pats, w).unwrap();
+    let pairs: Vec<(usize, usize)> = (0..golden.primary_outputs().len())
+        .map(|k| (k, k))
+        .collect();
+    assert!(
+        sim::emulate::outputs_equivalent(&trace, &td.netlist, &pairs, w).unwrap(),
+        "physical ECO changed behaviour"
+    );
 }
 
 #[test]

@@ -455,7 +455,8 @@ proptest! {
         let errors =
             fpga_debug_tiling::sim::inject::random_distinct_errors(&mut dut, &seeds).unwrap();
         let w = &mut SimWork::default();
-        let matrix = collect_responses(&golden, &dut, PatternGen::random(1, 48, seed), w).unwrap();
+        let trace = GoldenTrace::new(&golden, PatternGen::random(1, 48, seed), w).unwrap();
+        let matrix = collect_responses(&golden, &trace, &dut, w).unwrap();
         let evidence = EvidenceBase::from_sweep(&golden, &matrix);
         for cl in cluster_failures(&golden, &matrix) {
             // The window is the earliest failure of the union signature.
@@ -575,7 +576,8 @@ proptest! {
 // stimulus is biased (`prop::bool::weighted`) so divergence words are
 // sparse and onsets land away from lane 0.
 
-use fpga_debug_tiling::sim::{inject, PackedSimulator, SimWork, LANES};
+use fpga_debug_tiling::sim::emulate::net_first_divergences;
+use fpga_debug_tiling::sim::{inject, GoldenTrace, PackedSimulator, SimWork, LANES};
 
 /// Number of primary inputs every random combinational DAG uses.
 const RAND_PIS: usize = 5;
@@ -734,9 +736,8 @@ proptest! {
             .collect();
 
         let w = &mut SimWork::default();
-        let got =
-            fpga_debug_tiling::sim::emulate::net_first_divergences(&golden, &dut, &nets, &pats, w)
-                .unwrap();
+        let trace = GoldenTrace::new(&golden, pats.iter().cloned(), w).unwrap();
+        let got = net_first_divergences(&trace, &dut, &nets, w).unwrap();
 
         let mut g = Simulator::new(&golden).unwrap();
         let mut d = Simulator::new(&dut).unwrap();
@@ -781,9 +782,8 @@ proptest! {
             .collect();
 
         let w = &mut SimWork::default();
-        let got =
-            fpga_debug_tiling::sim::emulate::net_first_divergences(&golden, &dut, &nets, &pats, w)
-                .unwrap();
+        let trace = GoldenTrace::new(&golden, pats.iter().cloned(), w).unwrap();
+        let got = net_first_divergences(&trace, &dut, &nets, w).unwrap();
 
         let mut g = Simulator::new(&golden).unwrap();
         let mut d = Simulator::new(&dut).unwrap();
@@ -802,6 +802,61 @@ proptest! {
             d.step();
         }
         prop_assert_eq!(got, want);
+    }
+}
+
+// The golden trace is the one golden reference every sweep compares
+// the DUT against, so it is pinned to the scalar oracle directly:
+// every net on every pattern, on both design classes.
+
+/// Asserts the trace of `nl` over `pats` holds the scalar simulator's
+/// value of every net on every pattern (sequential designs clocked
+/// once per pattern, no reset).
+fn trace_matches_scalar(nl: &Netlist, pats: &[Vec<bool>]) -> Result<(), TestCaseError> {
+    let trace = GoldenTrace::new(nl, pats.iter().cloned(), &mut SimWork::default()).unwrap();
+    prop_assert_eq!(trace.patterns(), pats);
+    let mut scalar = Simulator::new(nl).unwrap();
+    for (p, pat) in pats.iter().enumerate() {
+        scalar.set_inputs(pat);
+        scalar.comb_eval();
+        for (net, _) in nl.nets() {
+            prop_assert_eq!(
+                trace.net_words(net)[p / LANES] >> (p % LANES) & 1 == 1,
+                scalar.net_value(net),
+                "net {:?}, pattern {}",
+                net,
+                p
+            );
+        }
+        scalar.step();
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    #[test]
+    fn golden_trace_matches_scalar_on_combinational_designs(
+        tts in prop::collection::vec(prop::bits::u64::masked(u64::MAX), 1usize..8),
+        pats in prop::collection::vec(
+            prop::collection::vec(prop::bool::weighted(0.3), RAND_PIS..=RAND_PIS),
+            1usize..150,
+        ),
+    ) {
+        trace_matches_scalar(&random_comb_netlist(&tts), &pats)?;
+    }
+
+    #[test]
+    fn golden_trace_matches_scalar_on_sequential_designs(
+        bb in 1usize..5,
+        branches in 1usize..3,
+        blen in 1usize..4,
+        pats in prop::collection::vec(
+            prop::collection::vec(prop::bool::weighted(0.5), 1usize..=1),
+            1usize..100,
+        ),
+    ) {
+        trace_matches_scalar(&seq_backbone_netlist(bb, branches, blen), &pats)?;
     }
 }
 
@@ -836,7 +891,8 @@ proptest! {
         let seeds: Vec<u64> = (0..k as u64).map(|i| seed.wrapping_add(i)).collect();
         let errors = inject::random_distinct_errors(&mut dut, &seeds).unwrap();
         let w = &mut SimWork::default();
-        let matrix = collect_responses(&golden, &dut, PatternGen::random(1, 100, seed), w).unwrap();
+        let trace = GoldenTrace::new(&golden, PatternGen::random(1, 100, seed), w).unwrap();
+        let matrix = collect_responses(&golden, &trace, &dut, w).unwrap();
         let evidence = EvidenceBase::from_sweep(&golden, &matrix);
         for cl in cluster_failures(&golden, &matrix) {
             prop_assert_eq!(Some(cl.window), cl.signature.first_failing());
