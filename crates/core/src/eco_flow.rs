@@ -275,32 +275,6 @@ pub fn replace_and_route(
                 }
             }
             Err((e, _)) => {
-                // Diagnostics hook: dump the conflicting state before
-                // restoring (enabled by setting TILING_DUMP).
-                if std::env::var_os("TILING_DUMP").is_some() {
-                    for node in td.routing.overused_nodes() {
-                        eprintln!("overused {:?}", td.rrg.node(node));
-                        for (net, tree) in td.routing.iter() {
-                            if tree.nodes().contains(&node) {
-                                let name = td
-                                    .netlist
-                                    .net(net)
-                                    .map(|n| n.name.clone())
-                                    .unwrap_or_else(|_| "<dead>".into());
-                                eprintln!("  net {net} ({name}) paths:");
-                                for p in &tree.paths {
-                                    if p.contains(&node) {
-                                        let s: Vec<String> = p
-                                            .iter()
-                                            .map(|&x| format!("{}", td.rrg.node(x)))
-                                            .collect();
-                                        eprintln!("    {}", s.join(" > "));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
                 td.placement = placement_snapshot;
                 td.routing = routing_snapshot;
                 return Err(e);
@@ -563,16 +537,12 @@ fn attempt_inner(
     }
     // Added cells: logic goes into the cleared region; new ports go to
     // free pads (constrained by site type, not region).
-    let mut added_logic: Vec<CellId> = Vec::new();
-    let mut added_io = 0usize;
-    for &c in added {
-        match td.netlist.cell(c) {
-            Ok(cell) if cell.is_logic() => added_logic.push(c),
-            Ok(_) => added_io += 1,
-            Err(_) => {}
-        }
-    }
-    to_replace.extend(added_logic.iter().copied());
+    to_replace.extend(
+        added
+            .iter()
+            .copied()
+            .filter(|&c| td.netlist.cell(c).is_ok_and(netlist::Cell::is_logic)),
+    );
 
     // ----- Constrained placement ----------------------------------
     let mut constraints = Constraints::free();
@@ -599,7 +569,6 @@ fn attempt_inner(
     td.placement = out.placement;
     spent.effort.place_moves += out.moves_evaluated;
     spent.cg_iterations += out.cg_iterations;
-    let _ = added_io;
 
     // Coarse-granularity path: when the cleared region covers a large
     // share of the device, confined negotiation (hundreds of nets
@@ -653,12 +622,7 @@ fn attempt_inner(
         let Some(driver_loc) = td.placement.loc_of(driver) else {
             continue;
         };
-        let driver_inside = match driver_loc {
-            fpga::BelLoc::Clb { coord, .. } => {
-                region.contains_clamped(i32::from(coord.x), i32::from(coord.y))
-            }
-            fpga::BelLoc::Iob(_) => false,
-        };
+        let driver_inside = clb_in_region(&region, driver_loc);
 
         // Current pin nodes for each sink.
         let mut inside_pins: Vec<NodeId> = Vec::new();
@@ -668,13 +632,7 @@ fn attempt_inner(
                 continue;
             };
             let pin = td.rrg.sink_node(loc, s.pin);
-            let inside = match loc {
-                fpga::BelLoc::Clb { coord, .. } => {
-                    region.contains_clamped(i32::from(coord.x), i32::from(coord.y))
-                }
-                fpga::BelLoc::Iob(_) => false,
-            };
-            if inside {
+            if clb_in_region(&region, loc) {
                 inside_pins.push(pin);
             } else {
                 outside_pins.push(pin);
@@ -742,16 +700,6 @@ fn attempt_inner(
             && had_route;
         if untouched {
             continue;
-        }
-        if std::env::var_os("TILING_TRACE").is_some() {
-            eprintln!(
-                "work {net_id}: driver_inside={driver_inside} inside={} outside={} missing={} exits={} free_paths={} had_route={had_route}",
-                inside_pins.len(),
-                outside_pins.len(),
-                outside_missing.len(),
-                exits.len(),
-                split.reroute_free.len(),
-            );
         }
         if !had_route && inside_pins.is_empty() && outside_pins.is_empty() {
             continue; // dangling net, nothing to connect
@@ -853,6 +801,16 @@ fn attempt_inner(
         confined: true,
         incremental_routing: false,
     })
+}
+
+/// Whether `loc` is a CLB inside `region` (pads never are).
+fn clb_in_region(region: &RegionSet, loc: fpga::BelLoc) -> bool {
+    match loc {
+        fpga::BelLoc::Clb { coord, .. } => {
+            region.contains_clamped(i32::from(coord.x), i32::from(coord.y))
+        }
+        fpga::BelLoc::Iob(_) => false,
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! one side of an interface is locked, the interface itself is locked"
 //! (§3.2) — and only the inside portion is rebuilt.
 
-use fpga::{Coord, Device, NodeId, Placement, Rect, RouteTree, Routing, RoutingGraph};
+use fpga::{Device, NodeId, Rect, RouteTree, Routing, RoutingGraph};
 
 use crate::tile::{TileId, TilePlan};
 
@@ -250,21 +250,10 @@ pub fn split_tree(rrg: &RoutingGraph, region: &RegionSet, tree: &RouteTree) -> T
     out
 }
 
-/// A placed cell's membership in a region.
-pub fn cell_in_region(region: &RegionSet, placement: &Placement, cell: netlist::CellId) -> bool {
-    match placement.loc_of(cell) {
-        Some(fpga::BelLoc::Clb {
-            coord: Coord { x, y },
-            ..
-        }) => region.contains_clamped(i32::from(x), i32::from(y)),
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpga::ClbSlot;
+    use fpga::{ClbSlot, Coord};
 
     fn setup() -> (Device, RoutingGraph, RegionSet) {
         let dev = Device::new(6, 6, 4, 2).unwrap();

@@ -4,6 +4,14 @@
 //!
 //! [`DebugSession`] drives the whole iteration:
 //!
+//! * three entry points: [`DebugSession::run`] debugs one planted
+//!   error (serial localization), [`DebugSession::run_concurrent`]
+//!   several at once (the multi-error scheduler), and
+//!   [`DebugSession::run_campaign`] plants one random error per seed
+//!   and hands them to one of the two;
+//! * detection, §4.1 confirmation and correction are one method each,
+//!   shared by both paths, and every phase region goes through one
+//!   helper that emits its span and per-phase counters;
 //! * the physical re-implementation behind every ECO is a
 //!   [`ReimplFlow`], so the same campaign can be priced through the
 //!   tiled flow or any Figure 5 baseline;
@@ -197,6 +205,35 @@ pub struct DebugOutcome {
     pub flow: &'static str,
 }
 
+impl DebugOutcome {
+    /// An empty row: nothing detected, localized or spent yet.
+    fn new(strategy: &'static str, flow: &'static str) -> Self {
+        Self {
+            mismatch: None,
+            initial_suspects: 0,
+            localized: None,
+            taps_inserted: 0,
+            repaired: false,
+            effort: CadEffort::default(),
+            tiles_cleared: 0,
+            ecos: 0,
+            confirmed_by_control: false,
+            ledger: EffortLedger::default(),
+            strategy,
+            flow,
+        }
+    }
+
+    /// Merges `ledger` into the row's ledger and re-derives the flat
+    /// effort counters from the sum.
+    fn absorb(&mut self, ledger: &EffortLedger) {
+        self.ledger.merge(ledger);
+        self.effort = self.ledger.total();
+        self.tiles_cleared = self.ledger.total_tiles_cleared();
+        self.ecos = self.ledger.total_ecos();
+    }
+}
+
 /// Aggregate result of a multi-error campaign.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignOutcome {
@@ -317,9 +354,10 @@ type EventCallback<'a> = Box<dyn FnMut(&DebugEvent) + Send + 'a>;
 /// A configured debugging session over one tiled design.
 ///
 /// Built with [`DebugSession::new`] plus the builder methods, then run
-/// with [`run`](DebugSession::run) (one planted error) or
-/// [`run_campaign`](DebugSession::run_campaign) (a sequence of random
-/// errors).
+/// with [`run`](DebugSession::run) (one planted error),
+/// [`run_concurrent`](DebugSession::run_concurrent) (several planted
+/// errors at once) or [`run_campaign`](DebugSession::run_campaign)
+/// (plants one random error per seed, then runs one of the two).
 ///
 /// ```no_run
 /// use sim::inject::random_error;
@@ -359,6 +397,9 @@ pub struct DebugSession<'a> {
     /// The golden model's response to the session's stimulus, built
     /// once by the pre-flight; every sweep compares against it.
     golden_trace: Option<GoldenTrace>,
+    /// Topological rank of every golden cell (the suspect-ordering
+    /// tie-break), built by the pre-flight beside the trace.
+    rank: HashMap<CellId, usize>,
     work: SessionWork,
 }
 
@@ -379,6 +420,7 @@ impl<'a> DebugSession<'a> {
             metrics: None,
             trace: None,
             golden_trace: None,
+            rank: HashMap::new(),
             work: SessionWork::default(),
         }
     }
@@ -471,25 +513,28 @@ impl<'a> DebugSession<'a> {
         }
     }
 
-    /// Wall-clock start marker for a phase region (0 when untraced).
+    /// Wall-clock start marker for a traced region (0 when untraced).
     fn span_begin(&self) -> u64 {
         self.trace.map(|(t, _)| t.now_us()).unwrap_or(0)
     }
 
-    /// Closes one phase region: emits a trace span whose effort units
-    /// are the region's ledger delta for `phase`, and bumps the
-    /// deterministic per-phase counters by the same delta. Every
-    /// charge to a phase happens inside exactly one region of that
-    /// phase's name, so per-phase span sums equal the ledger exactly.
-    fn phase_mark(
+    /// Runs `body` as one `phase` region. When the body succeeds, emits
+    /// a trace span whose effort units are the region's ledger delta
+    /// for `phase`, and bumps the deterministic per-phase counters by
+    /// the same delta. Every charge to a phase happens inside exactly
+    /// one region of that phase's name, so per-phase span sums equal
+    /// the ledger exactly. Regions nest — the serial path confirms
+    /// inside its localize region — and the inner span closes first.
+    fn phase<T>(
         &mut self,
         phase: Phase,
-        start_us: u64,
-        before: EffortLedger,
-        after: &EffortLedger,
-    ) {
-        let b = before.phase(phase);
-        let a = after.phase(phase);
+        ledger: &mut EffortLedger,
+        body: impl FnOnce(&mut Self, &mut EffortLedger) -> Result<T, TilingError>,
+    ) -> Result<T, TilingError> {
+        let start_us = self.span_begin();
+        let b = *ledger.phase(phase);
+        let out = body(self, ledger)?;
+        let a = ledger.phase(phase);
         let units = a.effort.total() - b.effort.total();
         if let Some((tracer, track)) = self.trace {
             tracer.complete(track, phase.name(), "phase", start_us, units);
@@ -518,6 +563,7 @@ impl<'a> DebugSession<'a> {
                 (a.tiles_cleared - b.tiles_cleared) as u64,
             );
         }
+        Ok(out)
     }
 
     /// Scrapes one finished [`EvidenceBase`]'s counters into the
@@ -553,8 +599,9 @@ impl<'a> DebugSession<'a> {
     /// simulation or the flow. Findings — warnings included — land in
     /// the metrics registry as `drc_findings_total{rule=…}`. Then the
     /// session's one golden simulation: the [`GoldenTrace`] every
-    /// sweep compares the DUT against. A traced session gets one
-    /// `preflight` span covering both.
+    /// sweep compares the DUT against, and the golden cells'
+    /// topological rank. A traced session gets one `preflight` span
+    /// covering all of it.
     fn preflight(&mut self) -> Result<(), TilingError> {
         if self.golden_trace.is_some() {
             return Ok(());
@@ -571,17 +618,22 @@ impl<'a> DebugSession<'a> {
         let count = findings.len() as u64;
         let result = result.and_then(|_| {
             let patterns = self.patterns.generate(self.golden, self.seed);
-            Ok(GoldenTrace::new(self.golden, patterns, &mut self.work.sim)?)
+            let trace = GoldenTrace::new(self.golden, patterns, &mut self.work.sim)?;
+            Ok((trace, self.golden.topo_order()?))
         });
         if let Some((tracer, track)) = self.trace {
             tracer.complete(track, "preflight", "drc", t0, count);
         }
-        self.golden_trace = Some(result?);
+        let (trace, order) = result?;
+        self.rank = order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+        self.golden_trace = Some(trace);
         Ok(())
     }
 
     /// Runs one full detect → localize → confirm → correct iteration
-    /// for a planted error already present in the DUT netlist.
+    /// for a planted error already present in the DUT netlist. An error
+    /// the detection sweep does not expose is repaired at the netlist
+    /// level and reported as `mismatch: None`, repaired.
     ///
     /// Serial localization runs through the same
     /// [`crate::diagnosis::evidence`] layer as the concurrent path:
@@ -600,36 +652,16 @@ impl<'a> DebugSession<'a> {
     /// Propagates netlist/placement/routing failures from the flow.
     pub fn run(&mut self, error: &InjectedError) -> Result<DebugOutcome, TilingError> {
         self.preflight()?;
-        let mut outcome = DebugOutcome {
-            mismatch: None,
-            initial_suspects: 0,
-            localized: None,
-            taps_inserted: 0,
-            repaired: false,
-            effort: CadEffort::default(),
-            tiles_cleared: 0,
-            ecos: 0,
-            confirmed_by_control: false,
-            ledger: EffortLedger::default(),
-            strategy: self.strategy.name(),
-            flow: self.flow.name(),
-        };
-
-        // ---- Detection (steps 10, 21): one full response sweep --------
-        let t_detect = self.span_begin();
-        let detect_before = outcome.ledger;
-        let trace = self.golden_trace.as_ref().expect(TRACED);
-        let matrix = collect_responses(self.golden, trace, &self.td.netlist, &mut self.work.sim)?;
-        let mismatch = matrix_mismatch(self.golden, &matrix)?;
-        self.phase_mark(Phase::Detect, t_detect, detect_before, &outcome.ledger);
-        let Some(mismatch) = mismatch else {
-            self.emit(DebugEvent::CleanDesign);
-            outcome.repaired = true; // nothing to do
+        let errors = std::slice::from_ref(error);
+        let mut outcome = DebugOutcome::new(self.strategy.name(), self.flow.name());
+        let mut ledger = EffortLedger::default();
+        let Some(matrix) = self.detect(errors, &mut ledger)? else {
+            outcome.repaired = true; // nothing left to do
             return Ok(outcome);
         };
         // (The per-cluster `Detected` events are emitted by the
         // shared diagnosis pipeline below.)
-        outcome.mismatch = Some(mismatch);
+        outcome.mismatch = Some(matrix_mismatch(self.golden, &matrix)?);
 
         // ---- Localization (steps 16–21) -------------------------------
         // The same cluster → defer-merge → prune pipeline as the
@@ -644,271 +676,116 @@ impl<'a> DebugSession<'a> {
         // stop at the first site the §4.1 control point confirms —
         // evidence accumulated by one attempt (every measured onset)
         // carries over to the next for free.
-        let t_localize = self.span_begin();
-        let localize_before = outcome.ledger;
-        let (mut evidence, clusters, witness_taps, _) =
-            self.screened_clusters(&matrix, &mut outcome.ledger)?;
-        outcome.taps_inserted = witness_taps;
-        let order = self.golden.topo_order()?;
-        let rank: HashMap<CellId, usize> = order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-        let rank_of = |c: CellId| rank.get(&c).copied().unwrap_or(usize::MAX);
-        // The sharpest single-error view comes first: the
-        // *intersection* of every failing output's cone (the site
-        // must lie in all of them), judged at the global earliest
-        // failure. On wide combinational designs this is a small,
-        // deep set that one strategy pass settles. When causal alibis
-        // prune it to nothing (the FSM regime: one early mismatch
-        // alibis everything through value masking), the per-cluster
-        // views below recover — each cluster's own window keeps its
-        // cone honest.
-        let mut tracks = Vec::with_capacity(clusters.len() + 1);
-        if clusters.len() > 1 {
-            let joint = serial_cluster(self.golden, &matrix);
-            let (window, suspects) = self.cluster_track(&evidence, &joint, &rank_of)?;
-            tracks.push((window, suspects));
-        }
-        let mut cluster_tracks = Vec::with_capacity(clusters.len());
-        for cl in &clusters {
-            let (window, suspects) = self.cluster_track(&evidence, cl, &rank_of)?;
-            cluster_tracks.push((window, suspects));
-        }
-        cluster_tracks.sort_by_key(|(_, suspects)| suspects.len());
-        tracks.extend(cluster_tracks);
-        // Distinct suspects across the views (the views overlap — the
-        // joint cone is a subset of every cluster cone).
-        outcome.initial_suspects = tracks
-            .iter()
-            .flat_map(|(_, s)| s.iter().copied())
-            .collect::<SuspectCone>()
-            .len();
+        self.phase(Phase::Localize, &mut ledger, |s, ledger| {
+            let (mut evidence, clusters, witness_taps, _) = s.screened_clusters(&matrix, ledger)?;
+            outcome.taps_inserted = witness_taps;
+            // The sharpest single-error view comes first: the
+            // *intersection* of every failing output's cone (the site
+            // must lie in all of them), judged at the global earliest
+            // failure. On wide combinational designs this is a small,
+            // deep set that one strategy pass settles. When causal
+            // alibis prune it to nothing (the FSM regime: one early
+            // mismatch alibis everything through value masking), the
+            // per-cluster views below recover — each cluster's own
+            // window keeps its cone honest.
+            let mut tracks = Vec::with_capacity(clusters.len() + 1);
+            if clusters.len() > 1 {
+                tracks.push(s.cluster_track(&evidence, &serial_cluster(s.golden, &matrix))?);
+            }
+            let mut cluster_tracks = Vec::with_capacity(clusters.len());
+            for cl in &clusters {
+                cluster_tracks.push(s.cluster_track(&evidence, cl)?);
+            }
+            cluster_tracks.sort_by_key(|(_, suspects)| suspects.len());
+            tracks.extend(cluster_tracks);
+            // Distinct suspects across the views (the views overlap —
+            // the joint cone is a subset of every cluster cone).
+            outcome.initial_suspects = tracks
+                .iter()
+                .flat_map(|(_, suspects)| suspects.iter().copied())
+                .collect::<SuspectCone>()
+                .len();
 
-        // Bounded arbitration: a single error that several
-        // independent views localize to *different, unconfirmable*
-        // cells is masked beyond PO-evidence localization — burning a
-        // strategy pass per remaining cluster cannot fix that, so the
-        // hunt stops after a few views and reports the best
-        // unconfirmed site (correction still repairs, exactly as when
-        // a strategy itself comes back empty).
-        const MAX_SERIAL_VIEWS: usize = 4;
-        let mut tried: Vec<CellId> = Vec::new();
-        let mut attempts = 0usize;
-        for (window, suspects) in tracks {
-            if suspects.is_empty() {
-                continue;
+            // Bounded arbitration: a single error that several
+            // independent views localize to *different, unconfirmable*
+            // cells is masked beyond PO-evidence localization — burning
+            // a strategy pass per remaining cluster cannot fix that, so
+            // the hunt stops after a few views and reports the best
+            // unconfirmed site (correction still repairs, exactly as
+            // when a strategy itself comes back empty).
+            const MAX_SERIAL_VIEWS: usize = 4;
+            let mut tried: Vec<CellId> = Vec::new();
+            let mut attempts = 0usize;
+            for (window, suspects) in tracks {
+                if suspects.is_empty() {
+                    continue;
+                }
+                if attempts >= MAX_SERIAL_VIEWS {
+                    break;
+                }
+                attempts += 1;
+                let mut scheduler = MultiErrorScheduler::new(LinearBatches::DEFAULT_BATCH);
+                scheduler.add_error(s.golden, &suspects, window, s.strategy.fresh());
+                let stats = s.run_tap_rounds(&mut scheduler, &mut evidence, ledger, &mut [])?;
+                outcome.taps_inserted += stats.taps_inserted;
+                let Some(site) = scheduler.localized()[0] else {
+                    continue;
+                };
+                s.emit(DebugEvent::Localized { cell: Some(site) });
+                if outcome.localized.is_none() {
+                    outcome.localized = Some(site);
+                }
+                if !s.confirm_with_control {
+                    outcome.localized = Some(site);
+                    break;
+                }
+                if tried.contains(&site) {
+                    continue;
+                }
+                tried.push(site);
+                // Force the suspect's output to the golden value: if
+                // the DUT then matches on *every* output, the error is
+                // contained in that cell — and the hunt is over. An
+                // unconfirmed site sends the search on to the next
+                // cluster's view of the failure.
+                if s.confirm(site, None, ledger)?.0 {
+                    outcome.localized = Some(site);
+                    outcome.confirmed_by_control = true;
+                    break;
+                }
             }
-            if attempts >= MAX_SERIAL_VIEWS {
-                break;
-            }
-            attempts += 1;
-            let mut scheduler = MultiErrorScheduler::new(LinearBatches::DEFAULT_BATCH);
-            scheduler.add_error(self.golden, &suspects, window, self.strategy.fresh());
-            let stats =
-                self.run_tap_rounds(&mut scheduler, &mut evidence, &mut outcome.ledger, &mut [])?;
-            outcome.taps_inserted += stats.taps_inserted;
-            let Some(site) = scheduler.localized()[0] else {
-                continue;
-            };
-            self.emit(DebugEvent::Localized { cell: Some(site) });
             if outcome.localized.is_none() {
-                outcome.localized = Some(site);
+                s.emit(DebugEvent::Localized { cell: None });
             }
-            if !self.confirm_with_control {
-                outcome.localized = Some(site);
-                break;
-            }
-            if tried.contains(&site) {
-                continue;
-            }
-            tried.push(site);
-            // ---- Controllability confirmation (§4.1) ------------------
-            // Force the suspect's output to the golden value through
-            // an inserted control point: if the DUT then matches on
-            // *every* output, the error is contained in that cell —
-            // and the hunt is over. An unconfirmed site sends the
-            // search on to the next cluster's view of the failure.
-            let t_confirm = self.span_begin();
-            let confirm_before = outcome.ledger;
-            let (confirmed, effort, tiles) = self.control_point_confirm(site, None)?;
-            outcome.ledger.charge(Phase::Confirm, effort, tiles);
-            self.phase_mark(Phase::Confirm, t_confirm, confirm_before, &outcome.ledger);
-            self.emit(DebugEvent::Confirmed {
-                cell: site,
-                confirmed,
-            });
-            if confirmed {
-                outcome.localized = Some(site);
-                outcome.confirmed_by_control = true;
-                break;
-            }
-        }
-        if outcome.localized.is_none() {
-            self.emit(DebugEvent::Localized { cell: None });
-        }
-        self.phase_mark(
-            Phase::Localize,
-            t_localize,
-            localize_before,
-            &outcome.ledger,
-        );
-        self.record_evidence(&evidence);
+            s.record_evidence(&evidence);
+            Ok(())
+        })?;
 
-        // ---- Correction (steps 11–15, 17–21) ---------------------------
-        let t_correct = self.span_begin();
-        let correct_before = outcome.ledger;
-        let fix = sim::inject::repair_op(error);
-        let rep = netlist::eco::apply(&mut self.td.netlist, &fix)?;
-        let phys = self.reimplement(&rep.touched(), &[])?;
-        outcome
-            .ledger
-            .charge(Phase::Correct, phys.effort, phys.affected.tiles.len());
-
-        // Confirmation emulation: observation taps were already
-        // retired per batch, but the DUT may still carry extra PIs
-        // (the §4.1 control point's force inputs and mux), so compare
-        // by pairing the golden primary outputs with their same-named
-        // DUT cells.
-        outcome.repaired = self.outputs_match(None)?;
-        self.emit(DebugEvent::Corrected {
-            repaired: outcome.repaired,
-        });
-        self.phase_mark(Phase::Correct, t_correct, correct_before, &outcome.ledger);
-
-        outcome.effort = outcome.ledger.total();
-        outcome.tiles_cleared = outcome.ledger.total_tiles_cleared();
-        outcome.ecos = outcome.ledger.total_ecos();
+        outcome.repaired = self.correct(errors, &mut ledger)?.0;
+        outcome.absorb(&ledger);
         Ok(outcome)
     }
 
-    /// Runs a multi-error campaign, one [`DebugOutcome`] row per seed.
+    /// Plants one random error per seed — all at once, in distinct
+    /// cells, each announced by a [`DebugEvent::ErrorInjected`] — and
+    /// debugs them, returning one [`DebugOutcome`] row per seed.
     ///
-    /// With a single seed this is the paper's protocol: plant, debug
-    /// to repair, done ([`run_campaign_serial`](Self::run_campaign_serial)).
-    /// With more than one seed, all errors are planted *simultaneously*
-    /// and diagnosed through the [`crate::diagnosis`] scheduler
-    /// ([`run_concurrent_campaign`](Self::run_concurrent_campaign)), so one batch of
-    /// observation taps — and one corrective ECO — serves every live
+    /// One seed is the paper's protocol: plant, then
+    /// [`run`](Self::run) to repair. More than one seed is diagnosed
+    /// through [`run_concurrent`](Self::run_concurrent), so one batch
+    /// of observation taps — and one corrective ECO — serves every live
     /// error; the result is then adapted back into per-error rows.
     /// Errors no cluster was matched to report `mismatch: None`, like
-    /// serially-undetected errors, and unmatched clusters' effort is
+    /// an undetected single error, and unmatched clusters' effort is
     /// folded into the rows of errors their cones contain, so the
-    /// per-iteration ledgers sum to [`CampaignOutcome::ledger`] on
-    /// both paths.
+    /// per-iteration ledgers sum to [`CampaignOutcome::ledger`] either
+    /// way. No seeds plant nothing and sweep nothing: the outcome is
+    /// empty.
     ///
     /// # Errors
     ///
     /// Propagates injection and flow failures.
     pub fn run_campaign(&mut self, seeds: &[u64]) -> Result<CampaignOutcome, TilingError> {
-        if seeds.len() <= 1 {
-            return self.run_campaign_serial(seeds);
-        }
-        let conc = self.run_concurrent_campaign(seeds)?;
-        let mut campaign = CampaignOutcome {
-            iterations: Vec::new(),
-            ledger: conc.ledger,
-        };
-        let pos = self.golden.primary_outputs();
-        for i in 0..conc.planted.len() {
-            let row = match conc.clusters.iter().find(|c| c.matched_error == Some(i)) {
-                Some(c) => DebugOutcome {
-                    mismatch: Some(synthesized_mismatch(self.golden, &pos, &conc.clusters, c)?),
-                    initial_suspects: c.cone_size,
-                    localized: c.localized,
-                    taps_inserted: c.taps_requested,
-                    repaired: c.repaired,
-                    effort: c.ledger.total(),
-                    tiles_cleared: c.ledger.total_tiles_cleared(),
-                    ecos: c.ledger.total_ecos(),
-                    confirmed_by_control: c.confirmed_by_control,
-                    ledger: c.ledger,
-                    strategy: conc.strategy,
-                    flow: conc.flow,
-                },
-                None => DebugOutcome {
-                    mismatch: None,
-                    initial_suspects: 0,
-                    localized: None,
-                    taps_inserted: 0,
-                    // Unmatched errors were still repaired by the
-                    // shared corrective ECO (or reverted, if nothing
-                    // was detected at all).
-                    repaired: conc.repaired,
-                    effort: CadEffort::default(),
-                    tiles_cleared: 0,
-                    ecos: 0,
-                    confirmed_by_control: false,
-                    ledger: EffortLedger::default(),
-                    strategy: conc.strategy,
-                    flow: conc.flow,
-                },
-            };
-            campaign.iterations.push(row);
-        }
-        // Unmatched clusters (a footprint no planted error claimed —
-        // e.g. one FSM error fanning out into several cones) still
-        // spent real effort. Fold each into the row of an error its
-        // cone contains, so per-iteration ledgers keep summing to the
-        // campaign ledger exactly as on the serial path.
-        for cl in conc.clusters.iter().filter(|c| c.matched_error.is_none()) {
-            let cone = SuspectCone::fanin(self.golden, &cl.outputs);
-            let i = conc
-                .planted
-                .iter()
-                .position(|&cell| cone.contains(cell))
-                .unwrap_or(0);
-            let row = &mut campaign.iterations[i];
-            row.ledger.merge(&cl.ledger);
-            row.effort = row.ledger.total();
-            row.tiles_cleared = row.ledger.total_tiles_cleared();
-            row.ecos = row.ledger.total_ecos();
-            row.taps_inserted += cl.taps_requested;
-        }
-        Ok(campaign)
-    }
-
-    /// The paper's one-at-a-time protocol: for each seed, plants one
-    /// random error, debugs it to repair, and moves on. Iterations
-    /// whose error escapes detection (possible under LFSR stimulus on
-    /// deep sequential state) are silently reverted at the netlist
-    /// level so later iterations start from a clean DUT.
-    ///
-    /// Kept public as the baseline the concurrent path is measured
-    /// against (the `multi` bench bin compares the two directly).
-    ///
-    /// # Errors
-    ///
-    /// Propagates injection and flow failures.
-    pub fn run_campaign_serial(&mut self, seeds: &[u64]) -> Result<CampaignOutcome, TilingError> {
-        self.preflight()?;
-        let mut campaign = CampaignOutcome::default();
-        for (iteration, &seed) in seeds.iter().enumerate() {
-            let error = sim::inject::random_error(&mut self.td.netlist, seed)?;
-            self.emit(DebugEvent::ErrorInjected {
-                iteration,
-                cell: error.cell,
-            });
-            let outcome = self.run(&error)?;
-            if outcome.mismatch.is_none() {
-                // Undetected: revert the netlist edit (no physical ECO
-                // — a LUT-function change does not move cells or nets).
-                netlist::eco::apply(&mut self.td.netlist, &sim::inject::repair_op(&error))?;
-            }
-            campaign.ledger.merge(&outcome.ledger);
-            campaign.iterations.push(outcome);
-        }
-        Ok(campaign)
-    }
-
-    /// Plants one random error per seed — all at once, in distinct
-    /// cells — and diagnoses them concurrently. Convenience wrapper
-    /// over [`run_concurrent`](Self::run_concurrent).
-    ///
-    /// # Errors
-    ///
-    /// Propagates injection and flow failures.
-    pub fn run_concurrent_campaign(
-        &mut self,
-        seeds: &[u64],
-    ) -> Result<ConcurrentOutcome, TilingError> {
         self.preflight()?;
         let errors = sim::inject::random_distinct_errors(&mut self.td.netlist, seeds)?;
         for (iteration, error) in errors.iter().enumerate() {
@@ -917,7 +794,58 @@ impl<'a> DebugSession<'a> {
                 cell: error.cell,
             });
         }
-        self.run_concurrent(&errors)
+        let conc = match errors.as_slice() {
+            [] => return Ok(CampaignOutcome::default()),
+            [error] => {
+                let row = self.run(error)?;
+                return Ok(CampaignOutcome {
+                    ledger: row.ledger,
+                    iterations: vec![row],
+                });
+            }
+            _ => self.run_concurrent(&errors)?,
+        };
+        let pos = self.golden.primary_outputs();
+        let mut iterations = Vec::with_capacity(conc.planted.len());
+        for i in 0..conc.planted.len() {
+            let mut row = DebugOutcome::new(conc.strategy, conc.flow);
+            match conc.clusters.iter().find(|c| c.matched_error == Some(i)) {
+                Some(c) => {
+                    row.mismatch =
+                        Some(synthesized_mismatch(self.golden, &pos, &conc.clusters, c)?);
+                    row.initial_suspects = c.cone_size;
+                    row.localized = c.localized;
+                    row.taps_inserted = c.taps_requested;
+                    row.repaired = c.repaired;
+                    row.confirmed_by_control = c.confirmed_by_control;
+                    row.absorb(&c.ledger);
+                }
+                // Unmatched errors were still repaired by the shared
+                // corrective ECO (or at the netlist level, if nothing
+                // was detected at all).
+                None => row.repaired = conc.repaired,
+            }
+            iterations.push(row);
+        }
+        // Unmatched clusters (a footprint no planted error claimed —
+        // e.g. one FSM error fanning out into several cones) still
+        // spent real effort. Fold each into the row of an error its
+        // cone contains, so per-iteration ledgers keep summing to the
+        // campaign ledger exactly as with one seed.
+        for cl in conc.clusters.iter().filter(|c| c.matched_error.is_none()) {
+            let cone = SuspectCone::fanin(self.golden, &cl.outputs);
+            let i = conc
+                .planted
+                .iter()
+                .position(|&cell| cone.contains(cell))
+                .unwrap_or(0);
+            iterations[i].absorb(&cl.ledger);
+            iterations[i].taps_inserted += cl.taps_requested;
+        }
+        Ok(CampaignOutcome {
+            iterations,
+            ledger: conc.ledger,
+        })
     }
 
     /// Diagnoses several already-planted errors *simultaneously*:
@@ -925,7 +853,8 @@ impl<'a> DebugSession<'a> {
     /// outputs into per-error footprints, localize every cluster
     /// concurrently through shared observation-tap batches, confirm
     /// each site against its own outputs, and repair everything with
-    /// one corrective ECO.
+    /// one corrective ECO. Errors the sweep does not expose are
+    /// repaired at the netlist level.
     ///
     /// This is the multi-error counterpart of [`run`](Self::run) —
     /// the capability the single-error paper protocol lacks. The
@@ -956,251 +885,292 @@ impl<'a> DebugSession<'a> {
             strategy: self.strategy.name(),
             flow: self.flow.name(),
         };
-
-        // ---- Detection: one full response sweep -----------------------
-        let t_detect = self.span_begin();
-        let detect_before = outcome.ledger;
-        let trace = self.golden_trace.as_ref().expect(TRACED);
-        let matrix = collect_responses(self.golden, trace, &self.td.netlist, &mut self.work.sim)?;
-        let raw_clusters = cluster_failures(self.golden, &matrix);
-        self.phase_mark(Phase::Detect, t_detect, detect_before, &outcome.ledger);
-        if raw_clusters.is_empty() {
-            self.emit(DebugEvent::CleanDesign);
-            // Undetectable errors are still repaired — at the netlist
-            // level only, since a LUT-function restore moves nothing —
-            // mirroring the detected path, whose corrective ECO also
-            // repairs every planted error. The caller never keeps a
-            // latent bug in a DUT reported repaired.
-            for error in errors {
-                netlist::eco::apply(&mut self.td.netlist, &sim::inject::repair_op(error))?;
-            }
+        let Some(matrix) = self.detect(errors, &mut outcome.ledger)? else {
             outcome.repaired = true;
             return Ok(outcome);
-        }
+        };
 
         // ---- Shared diagnosis pipeline --------------------------------
-        let t_localize = self.span_begin();
-        let localize_before = outcome.ledger;
-        let mut ledger = std::mem::take(&mut outcome.ledger);
-        let mut diagnosis = self.diagnose(&matrix, &mut ledger)?;
-        outcome.ledger = ledger;
-        outcome.rounds = diagnosis.rounds;
-        outcome.taps_inserted = diagnosis.taps_inserted;
-        outcome.shared_core_cells = diagnosis.shared_core_cells;
-        let clusters = std::mem::take(&mut diagnosis.clusters);
-        let candidate_counts = diagnosis.candidate_counts;
-        let exclusive_sizes = diagnosis.exclusive_sizes;
-        let localized = diagnosis.localized;
-        let mut cluster_ledgers = diagnosis.cluster_ledgers;
-        let n = clusters.len();
+        // Build the evidence base, tap the deferred-merge witnesses,
+        // fold FSM fan-out clusters, prune every cluster's cone within
+        // its causal window, register one strategy track per cluster,
+        // drive the physical tap rounds to completion, then attribute
+        // ambiguous shared-core divergences. Returns each cluster's
+        // cone for matching clusters to planted errors.
+        let cones = self.phase(Phase::Localize, &mut outcome.ledger, |s, ledger| {
+            let (mut evidence, clusters, witness_taps, merge_screen) =
+                s.screened_clusters(&matrix, ledger)?;
+            let n = clusters.len();
+            let mut scheduler = MultiErrorScheduler::new(LinearBatches::DEFAULT_BATCH);
+            let mut candidates = Vec::with_capacity(n);
+            for cl in &clusters {
+                let (window, suspects) = s.cluster_track(&evidence, cl)?;
+                candidates.push(suspects.len());
+                scheduler.add_error(s.golden, &suspects, window, s.strategy.fresh());
+            }
+            let exclusive = scheduler.partition().exclusive_sizes();
+            outcome.shared_core_cells = scheduler.partition().shared.len();
+            s.emit(DebugEvent::ConeSplit {
+                clusters: n,
+                exclusive: exclusive.clone(),
+                shared: outcome.shared_core_cells,
+            });
 
-        // Score each ambiguous shared-core divergence against every
-        // implicated cluster's observed footprint; report the best
-        // match.
-        let mut blamed = Vec::new();
-        if !diagnosis.ambiguities.is_empty() {
-            let trace = self.golden_trace.as_ref().expect(TRACED);
-            let mut attribution = FaultAttribution::new(self.golden, trace)?;
-            // Prime the whole ambiguity set up front: sequential
-            // designs fault-simulate 64 candidate machines per packed
-            // stream pass instead of one hypothesis netlist each.
-            let amb_cells: Vec<CellId> = diagnosis.ambiguities.iter().map(|a| a.cell).collect();
-            attribution.prime(&amb_cells)?;
-            self.work.sim += attribution.work();
-            let pos = self.golden.primary_outputs();
-            let failing_masks: Vec<Vec<bool>> = clusters
-                .iter()
-                .map(|cl| pos.iter().map(|p| cl.outputs.contains(p)).collect())
-                .collect();
-            for amb in &diagnosis.ambiguities {
-                let mut best: Option<(usize, f64)> = None;
-                for &t in &amb.tracks {
-                    let score = attribution.blame_score(amb.cell, &failing_masks[t])?;
-                    if best.is_none_or(|(_, bs)| score > bs) {
-                        best = Some((t, score));
+            // The merge-screening taps served every (final) cluster
+            // equally; apportion them now that the cluster count is
+            // known.
+            let mut ledgers = vec![EffortLedger::default(); n];
+            for &(effort, tiles) in &merge_screen {
+                split_charge(&mut ledgers, Phase::Localize, effort, tiles, &vec![1; n]);
+            }
+            let stats = s.run_tap_rounds(&mut scheduler, &mut evidence, ledger, &mut ledgers)?;
+            s.record_evidence(&evidence);
+            outcome.rounds = stats.rounds;
+            outcome.taps_inserted = witness_taps + stats.taps_inserted;
+            let localized = scheduler.localized();
+            let mut cones = Vec::with_capacity(n);
+            for (k, cl) in clusters.into_iter().enumerate() {
+                outcome.clusters.push(ClusterOutcome {
+                    cone_size: cl.cone.len(),
+                    outputs: cl.outputs,
+                    signature: cl.signature,
+                    window: cl.window,
+                    candidates: candidates[k],
+                    exclusive_size: exclusive[k],
+                    localized: localized[k],
+                    confirmed_by_control: false,
+                    matched_error: None,
+                    taps_requested: scheduler.taps_requested(k),
+                    ledger: ledgers[k],
+                    repaired: false,
+                });
+                cones.push(cl.cone);
+            }
+
+            // Score each ambiguous shared-core divergence against every
+            // implicated cluster's observed footprint; report the best
+            // match.
+            let mut blamed = Vec::new();
+            if !stats.ambiguities.is_empty() {
+                let trace = s.golden_trace.as_ref().expect(TRACED);
+                let mut attribution = FaultAttribution::new(s.golden, trace)?;
+                // Prime the whole ambiguity set up front: sequential
+                // designs fault-simulate 64 candidate machines per
+                // packed stream pass instead of one hypothesis netlist
+                // each.
+                let amb_cells: Vec<CellId> = stats.ambiguities.iter().map(|a| a.cell).collect();
+                attribution.prime(&amb_cells)?;
+                s.work.sim += attribution.work();
+                let pos = s.golden.primary_outputs();
+                let failing_masks: Vec<Vec<bool>> = outcome
+                    .clusters
+                    .iter()
+                    .map(|cl| pos.iter().map(|p| cl.outputs.contains(p)).collect())
+                    .collect();
+                for amb in &stats.ambiguities {
+                    let mut best: Option<(usize, f64)> = None;
+                    for &t in &amb.tracks {
+                        let score = attribution.blame_score(amb.cell, &failing_masks[t])?;
+                        if best.is_none_or(|(_, bs)| score > bs) {
+                            best = Some((t, score));
+                        }
+                    }
+                    if let Some((cluster, score)) = best {
+                        blamed.push(DebugEvent::Attribution {
+                            cell: amb.cell,
+                            cluster,
+                            score,
+                        });
                     }
                 }
-                if let Some((cluster, score)) = best {
-                    blamed.push(DebugEvent::Attribution {
-                        cell: amb.cell,
-                        cluster,
-                        score,
-                    });
-                }
             }
-        }
-        for event in blamed {
-            self.emit(event);
-        }
-        for &cell in &localized {
-            self.emit(DebugEvent::Localized { cell });
-        }
-        self.phase_mark(
-            Phase::Localize,
-            t_localize,
-            localize_before,
-            &outcome.ledger,
-        );
+            for event in blamed {
+                s.emit(event);
+            }
+            for &cell in &localized {
+                s.emit(DebugEvent::Localized { cell });
+            }
+            Ok(cones)
+        })?;
 
         // ---- Per-cluster confirmation (§4.1) --------------------------
-        let mut confirmed = vec![false; n];
         if self.confirm_with_control {
-            for k in 0..n {
-                if let Some(suspect) = localized[k] {
-                    let t_confirm = self.span_begin();
-                    let confirm_before = outcome.ledger;
+            for c in &mut outcome.clusters {
+                if let Some(site) = c.localized {
                     let (ok, effort, tiles) =
-                        self.control_point_confirm(suspect, Some(&clusters[k].outputs))?;
-                    outcome.ledger.charge(Phase::Confirm, effort, tiles);
-                    cluster_ledgers[k].charge(Phase::Confirm, effort, tiles);
-                    self.phase_mark(Phase::Confirm, t_confirm, confirm_before, &outcome.ledger);
-                    confirmed[k] = ok;
-                    self.emit(DebugEvent::Confirmed {
-                        cell: suspect,
-                        confirmed: ok,
-                    });
+                        self.confirm(site, Some(&c.outputs), &mut outcome.ledger)?;
+                    c.ledger.charge(Phase::Confirm, effort, tiles);
+                    c.confirmed_by_control = ok;
                 }
             }
         }
 
         // ---- One corrective ECO for every error -----------------------
-        let t_correct = self.span_begin();
-        let correct_before = outcome.ledger;
-        let mut seeds: Vec<CellId> = Vec::with_capacity(errors.len());
-        for error in errors {
-            netlist::eco::apply(&mut self.td.netlist, &sim::inject::repair_op(error))?;
-            seeds.push(error.cell);
-        }
-        seeds.sort_unstable();
-        seeds.dedup();
-        let phys = self.reimplement(&seeds, &[])?;
-        let tiles = phys.affected.tiles.len();
-        outcome.ledger.charge(Phase::Correct, phys.effort, tiles);
-        let even = vec![1usize; n];
-        split_charge(
-            &mut cluster_ledgers,
-            Phase::Correct,
-            phys.effort,
-            tiles,
-            &even,
-        );
-        outcome.repaired = self.outputs_match(None)?;
-        self.emit(DebugEvent::Corrected {
-            repaired: outcome.repaired,
-        });
-        self.phase_mark(Phase::Correct, t_correct, correct_before, &outcome.ledger);
+        let (repaired, effort, tiles) = self.correct(errors, &mut outcome.ledger)?;
+        outcome.repaired = repaired;
+        let even = vec![1; outcome.clusters.len()];
+        let ledgers = outcome.clusters.iter_mut().map(|c| &mut c.ledger);
+        split_charge(ledgers, Phase::Correct, effort, tiles, &even);
 
         // ---- Attribution: match clusters to planted errors ------------
-        let mut matched: Vec<Option<usize>> = vec![None; n];
+        // Exact localized-cell agreement first, then cone containment.
         let mut claimed = vec![false; errors.len()];
-        for k in 0..n {
-            if let Some(cell) = localized[k] {
-                if let Some(i) = (0..errors.len()).find(|&i| !claimed[i] && errors[i].cell == cell)
-                {
-                    matched[k] = Some(i);
+        for exact in [true, false] {
+            for (c, cone) in outcome.clusters.iter_mut().zip(&cones) {
+                let fits = |e: &InjectedError| {
+                    if exact {
+                        c.localized == Some(e.cell)
+                    } else {
+                        cone.contains(e.cell)
+                    }
+                };
+                if c.matched_error.is_some() {
+                    continue;
+                }
+                if let Some(i) = (0..errors.len()).find(|&i| !claimed[i] && fits(&errors[i])) {
+                    c.matched_error = Some(i);
                     claimed[i] = true;
                 }
             }
         }
-        for k in 0..n {
-            if matched[k].is_some() {
-                continue;
-            }
-            if let Some(i) = (0..errors.len())
-                .find(|&i| !claimed[i] && clusters[k].cone.contains(errors[i].cell))
-            {
-                matched[k] = Some(i);
-                claimed[i] = true;
-            }
-        }
-
-        for (k, cl) in clusters.into_iter().enumerate() {
-            let repaired = self.outputs_match(Some(&cl.outputs))?;
-            outcome.clusters.push(ClusterOutcome {
-                outputs: cl.outputs,
-                signature: cl.signature,
-                window: cl.window,
-                cone_size: cl.cone.len(),
-                candidates: candidate_counts[k],
-                exclusive_size: exclusive_sizes[k],
-                localized: localized[k],
-                confirmed_by_control: confirmed[k],
-                matched_error: matched[k],
-                taps_requested: diagnosis.taps_requested[k],
-                ledger: cluster_ledgers[k],
-                repaired,
-            });
+        for c in &mut outcome.clusters {
+            c.repaired = self.outputs_match(Some(&c.outputs))?;
         }
         outcome.ecos = outcome.ledger.total_ecos();
         Ok(outcome)
     }
 
-    /// The shared diagnosis pipeline both entry points run after a
-    /// failing detection sweep: build the [`EvidenceBase`], tap the
-    /// deferred-merge witness registers, fold FSM fan-out clusters,
-    /// prune every cluster's cone within its causal window, register
-    /// one strategy track per cluster, and drive the physical tap
-    /// rounds to completion. Emits the per-cluster
-    /// [`DebugEvent::Detected`] / [`DebugEvent::SuspectsComputed`]
-    /// events and the campaign-level [`DebugEvent::ConeSplit`].
-    ///
-    /// The serial path ([`run`](Self::run)) consumes the per-cluster
-    /// localizations as alternative candidate sites for its one
-    /// error; the concurrent path ([`run_concurrent`](Self::run_concurrent))
-    /// adapts them into [`ClusterOutcome`] rows.
-    fn diagnose(
+    /// Detection (steps 10, 21): one full response sweep of the DUT
+    /// against the golden trace, as one detect region. Returns the
+    /// sweep when any output failed. A clean sweep emits
+    /// [`DebugEvent::CleanDesign`] and repairs `errors` at the netlist
+    /// level only — a LUT-function restore moves nothing — as the
+    /// corrective ECO would have, so no caller keeps a latent bug in a
+    /// DUT reported repaired.
+    fn detect(
         &mut self,
-        matrix: &ResponseMatrix,
+        errors: &[InjectedError],
         ledger: &mut EffortLedger,
-    ) -> Result<Diagnosis, TilingError> {
-        let (mut evidence, clusters, taps_inserted, merge_screen) =
-            self.screened_clusters(matrix, ledger)?;
-
-        let order = self.golden.topo_order()?;
-        let rank: HashMap<CellId, usize> = order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-        let rank_of = |c: CellId| rank.get(&c).copied().unwrap_or(usize::MAX);
-        let n = clusters.len();
-        let mut scheduler = MultiErrorScheduler::new(LinearBatches::DEFAULT_BATCH);
-        let mut candidate_counts = Vec::with_capacity(n);
-        for cl in &clusters {
-            let (window, suspects) = self.cluster_track(&evidence, cl, &rank_of)?;
-            candidate_counts.push(suspects.len());
-            scheduler.add_error(self.golden, &suspects, window, self.strategy.fresh());
+    ) -> Result<Option<ResponseMatrix>, TilingError> {
+        let matrix = self.phase(Phase::Detect, ledger, |s, _| {
+            let trace = s.golden_trace.as_ref().expect(TRACED);
+            Ok(collect_responses(
+                s.golden,
+                trace,
+                &s.td.netlist,
+                &mut s.work.sim,
+            )?)
+        })?;
+        if !matrix.failing().is_empty() {
+            return Ok(Some(matrix));
         }
-        let exclusive_sizes = scheduler.partition().exclusive_sizes();
-        let shared_core_cells = scheduler.partition().shared.len();
-        self.emit(DebugEvent::ConeSplit {
-            clusters: n,
-            exclusive: exclusive_sizes.clone(),
-            shared: shared_core_cells,
+        self.emit(DebugEvent::CleanDesign);
+        self.repair(errors)?;
+        Ok(None)
+    }
+
+    /// Restores every error's original LUT function at the netlist
+    /// level. Returns the sorted, distinct error cells.
+    fn repair(&mut self, errors: &[InjectedError]) -> Result<Vec<CellId>, TilingError> {
+        let mut cells = Vec::with_capacity(errors.len());
+        for error in errors {
+            netlist::eco::apply(&mut self.td.netlist, &sim::inject::repair_op(error))?;
+            cells.push(error.cell);
+        }
+        cells.sort_unstable();
+        cells.dedup();
+        Ok(cells)
+    }
+
+    /// The §4.1 controllability confirmation, as one confirm region:
+    /// inserts a control point on the suspect's output net (an ECO
+    /// through the session flow), then re-emulates with the override
+    /// enabled and driven to the golden value every cycle. *Confirmed*
+    /// means the compared outputs — all of them, or just the `outputs`
+    /// subset a multi-error session passes — then match the golden
+    /// model. Charges `ledger`, emits [`DebugEvent::Confirmed`] and
+    /// returns `(confirmed, effort, tiles cleared)` for the caller's
+    /// cluster ledger.
+    ///
+    /// Like observation taps, the control point is *retired* at the
+    /// netlist level afterwards (the physical cleanup folds into the
+    /// correction ECO that follows), so successive campaign
+    /// iterations start from an uninstrumented DUT.
+    fn confirm(
+        &mut self,
+        suspect: CellId,
+        outputs: Option<&[CellId]>,
+        ledger: &mut EffortLedger,
+    ) -> Result<(bool, CadEffort, usize), TilingError> {
+        let checked = self.phase(Phase::Confirm, ledger, |s, ledger| {
+            let net = s.td.netlist.cell_output(suspect)?;
+            // Control points add primary-input *nets* whose names
+            // outlive retirement (removing a cell frees its name; a
+            // dead net keeps its), so every insertion needs a fresh
+            // namespace — confirm runs once per error in a concurrent
+            // session and once per view in a serial one.
+            let base = unique_cp_name(&s.td.netlist, suspect);
+            let cp = insert_control_point(&mut s.td.netlist, net, &base)?;
+            let phys = match s.reimplement(&[suspect], &cp.report.added) {
+                Ok(phys) => phys,
+                Err(e) => {
+                    // The flow restored placement/routing; retire the
+                    // control point too so the netlist matches and the
+                    // caller can retry on a consistent design.
+                    s.retire_control_point(&cp, net)?;
+                    return Err(e);
+                }
+            };
+            // DUT inputs: golden pattern, then [force_val, force_en]
+            // (the two new PIs append to the input order); the packed
+            // sweep drives force_val with the golden trace's words for
+            // `net` over the first 256 patterns.
+            let pairs = s.po_pairs_for(outputs)?;
+            let trace = s.golden_trace.as_ref().expect(TRACED);
+            let confirmed = sim::emulate::forced_outputs_equivalent(
+                trace,
+                &s.td.netlist,
+                net,
+                &pairs,
+                256,
+                &mut s.work.sim,
+            )?;
+            s.retire_control_point(&cp, net)?;
+            let tiles = phys.affected.tiles.len();
+            ledger.charge(Phase::Confirm, phys.effort, tiles);
+            Ok((confirmed, phys.effort, tiles))
+        })?;
+        self.emit(DebugEvent::Confirmed {
+            cell: suspect,
+            confirmed: checked.0,
         });
+        Ok(checked)
+    }
 
-        // The merge-screening taps served every (final) cluster
-        // equally; apportion them now that the cluster count is known.
-        let mut cluster_ledgers = vec![EffortLedger::default(); n];
-        for &(effort, tiles) in &merge_screen {
-            split_charge(
-                &mut cluster_ledgers,
-                Phase::Localize,
-                effort,
-                tiles,
-                &vec![1usize; n],
-            );
-        }
-        let stats =
-            self.run_tap_rounds(&mut scheduler, &mut evidence, ledger, &mut cluster_ledgers)?;
-        self.record_evidence(&evidence);
-        Ok(Diagnosis {
-            clusters,
-            candidate_counts,
-            exclusive_sizes,
-            shared_core_cells,
-            taps_requested: (0..n).map(|k| scheduler.taps_requested(k)).collect(),
-            localized: scheduler.localized(),
-            rounds: stats.rounds,
-            taps_inserted: taps_inserted + stats.taps_inserted,
-            ambiguities: stats.ambiguities,
-            cluster_ledgers,
+    /// Correction (steps 11–15, 17–21), as one correct region: repairs
+    /// every error, runs one ECO seeded with the sorted distinct error
+    /// cells (for a LUT-function repair, exactly the cells the edit
+    /// touches), and re-emulates. Charges `ledger`, emits
+    /// [`DebugEvent::Corrected`] and returns `(repaired, effort, tiles
+    /// cleared)` for the caller's cluster ledgers.
+    fn correct(
+        &mut self,
+        errors: &[InjectedError],
+        ledger: &mut EffortLedger,
+    ) -> Result<(bool, CadEffort, usize), TilingError> {
+        self.phase(Phase::Correct, ledger, |s, ledger| {
+            let seeds = s.repair(errors)?;
+            let phys = s.reimplement(&seeds, &[])?;
+            let tiles = phys.affected.tiles.len();
+            ledger.charge(Phase::Correct, phys.effort, tiles);
+            // Confirmation emulation: observation taps were already
+            // retired per batch, but the DUT may still carry extra PIs
+            // (the §4.1 control point's force inputs and mux), so
+            // compare by pairing the golden primary outputs with their
+            // same-named DUT cells.
+            let repaired = s.outputs_match(None)?;
+            s.emit(DebugEvent::Corrected { repaired });
+            Ok((repaired, phys.effort, tiles))
         })
     }
 
@@ -1279,7 +1249,6 @@ impl<'a> DebugSession<'a> {
         &mut self,
         evidence: &EvidenceBase,
         cl: &FailureCluster,
-        rank_of: &dyn Fn(CellId) -> usize,
     ) -> Result<(crate::diagnosis::ObservationWindow, Vec<CellId>), TilingError> {
         self.emit(DebugEvent::Detected {
             pattern_index: cl.window,
@@ -1313,7 +1282,10 @@ impl<'a> DebugSession<'a> {
                 .filter(|&c| window.feasible(c) && live_lut(c))
                 .collect();
         }
-        evidence.order_suspects(&window, &mut suspects, rank_of);
+        let rank = &self.rank;
+        evidence.order_suspects(&window, &mut suspects, |c| {
+            rank.get(&c).copied().unwrap_or(usize::MAX)
+        });
         self.emit(DebugEvent::SuspectsComputed {
             structural: cl.cone.len(),
             candidates: suspects.len(),
@@ -1425,7 +1397,7 @@ impl<'a> DebugSession<'a> {
                 stats.taps_inserted += batch.len();
                 ledger.charge(Phase::Localize, effort, tiles);
                 if !per_track.is_empty() {
-                    split_charge(per_track, Phase::Localize, effort, tiles, &weights);
+                    split_charge(&mut *per_track, Phase::Localize, effort, tiles, &weights);
                 }
                 for (&cell, &onset) in batch.iter().zip(&onsets) {
                     verdicts.insert(cell, onset);
@@ -1436,60 +1408,6 @@ impl<'a> DebugSession<'a> {
                 .extend(scheduler.record_round(evidence, &verdicts));
         }
         Ok(stats)
-    }
-
-    /// Inserts a control point on the suspect's output net (an ECO
-    /// through the session flow), then re-emulates with the override
-    /// enabled and driven to the golden value every cycle. Returns
-    /// (confirmed, effort, tiles cleared); *confirmed* means the
-    /// compared outputs — all of them, or just the `outputs` subset a
-    /// multi-error session passes — then match the golden model.
-    ///
-    /// Like observation taps, the control point is *retired* at the
-    /// netlist level afterwards (the physical cleanup folds into the
-    /// correction ECO that follows), so successive campaign
-    /// iterations start from an uninstrumented DUT.
-    fn control_point_confirm(
-        &mut self,
-        suspect: CellId,
-        outputs: Option<&[CellId]>,
-    ) -> Result<(bool, CadEffort, usize), TilingError> {
-        let net = self.td.netlist.cell_output(suspect)?;
-        // Control points add primary-input *nets* whose names outlive
-        // retirement (removing a cell frees its name; a dead net keeps
-        // its), so every insertion needs a fresh namespace — confirm
-        // runs once per error in a concurrent session and once per
-        // iteration in a campaign.
-        let base = unique_cp_name(&self.td.netlist, suspect);
-        let cp = insert_control_point(&mut self.td.netlist, net, &base)?;
-        let phys = match self.reimplement(&[suspect], &cp.report.added) {
-            Ok(phys) => phys,
-            Err(e) => {
-                // The flow restored placement/routing; retire the
-                // control point too so the netlist matches and the
-                // caller can retry on a consistent design.
-                self.retire_control_point(&cp, net)?;
-                return Err(e);
-            }
-        };
-
-        // DUT inputs: golden pattern, then [force_val, force_en] (the
-        // two new PIs append to the input order); the packed sweep
-        // drives force_val with the golden trace's words for `net`
-        // over the first 256 patterns.
-        let pairs = self.po_pairs_for(outputs)?;
-        let trace = self.golden_trace.as_ref().expect(TRACED);
-        let confirmed = sim::emulate::forced_outputs_equivalent(
-            trace,
-            &self.td.netlist,
-            net,
-            &pairs,
-            256,
-            &mut self.work.sim,
-        )?;
-
-        self.retire_control_point(&cp, net)?;
-        Ok((confirmed, phys.effort, phys.affected.tiles.len()))
     }
 
     /// Golden↔DUT primary-output index pairs, optionally restricted
@@ -1634,32 +1552,6 @@ const _: () = {
     assert_send::<TilingError>();
 };
 
-/// Everything the shared diagnosis pipeline
-/// ([`DebugSession::diagnose`]) produced.
-struct Diagnosis {
-    /// The (deferred-merge folded) failure clusters, in discovery
-    /// order.
-    clusters: Vec<FailureCluster>,
-    /// Pruned, live-LUT-filtered suspect count per cluster.
-    candidate_counts: Vec<usize>,
-    /// Exclusive-region sizes of the registered cones.
-    exclusive_sizes: Vec<usize>,
-    /// Cells implicated by two or more clusters.
-    shared_core_cells: usize,
-    /// Taps each track requested (pre-dedup / pre-evidence).
-    taps_requested: Vec<usize>,
-    /// Per-cluster localization results.
-    localized: Vec<Option<CellId>>,
-    /// Scheduler rounds executed.
-    rounds: usize,
-    /// Physical taps inserted (witness screening + rounds).
-    taps_inserted: usize,
-    /// Shared-core divergences needing attribution.
-    ambiguities: Vec<Ambiguity>,
-    /// Per-cluster effort rows apportioning the localization phase.
-    cluster_ledgers: Vec<EffortLedger>,
-}
-
 /// What the shared tap-round loop accumulated.
 #[derive(Debug, Default)]
 struct RoundStats {
@@ -1673,23 +1565,18 @@ struct RoundStats {
 
 /// Reconstructs the classic first-mismatch record from a full
 /// response sweep: the earliest failing pattern across all outputs,
-/// with `output_ok` read off the signatures at that pattern. `None`
-/// when nothing failed. Pattern indices are directly comparable with
-/// every other consumer of the same sweep.
-fn matrix_mismatch(
-    golden: &Netlist,
-    matrix: &ResponseMatrix,
-) -> Result<Option<Mismatch>, TilingError> {
+/// with `output_ok` read off the signatures at that pattern. Pattern
+/// indices are directly comparable with every other consumer of the
+/// same sweep.
+fn matrix_mismatch(golden: &Netlist, matrix: &ResponseMatrix) -> Result<Mismatch, TilingError> {
     let sigs = &matrix.signatures;
-    let Some(first) = sigs
+    let first = sigs
         .iter()
         .filter_map(ResponseSignature::first_failing)
         .min()
-    else {
-        return Ok(None);
-    };
+        .unwrap_or(0);
     let output_ok = sigs.iter().map(|s| !s.contains(first)).collect();
-    mismatch_at(golden, &matrix.outputs, first, output_ok).map(Some)
+    mismatch_at(golden, &matrix.outputs, first, output_ok)
 }
 
 /// The first-mismatch record at `pattern_index`, given which golden
@@ -1806,8 +1693,8 @@ fn apportion(total: u64, weights: &[usize]) -> Vec<u64> {
 /// in the batch), the ECO itself counted for every participant —
 /// which is exactly why the per-cluster ECO counts sum to *more* than
 /// the physical count when batches are shared.
-fn split_charge(
-    ledgers: &mut [EffortLedger],
+fn split_charge<'l>(
+    ledgers: impl IntoIterator<Item = &'l mut EffortLedger>,
     phase: Phase,
     effort: CadEffort,
     tiles: usize,
@@ -1816,7 +1703,7 @@ fn split_charge(
     let moves = apportion(effort.place_moves, weights);
     let exps = apportion(effort.route_expansions, weights);
     let tls = apportion(tiles as u64, weights);
-    for (k, ledger) in ledgers.iter_mut().enumerate() {
+    for (k, ledger) in ledgers.into_iter().enumerate() {
         if weights[k] == 0 {
             continue;
         }

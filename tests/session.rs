@@ -335,3 +335,55 @@ fn concurrent_event_stream_orders_clusters_and_apportions_ledger() {
     let phase_ecos: usize = Phase::ALL.iter().map(|&p| out.ledger.phase(p).ecos).sum();
     assert_eq!(phase_ecos, out.ecos);
 }
+
+/// An error the stimulus cannot expose is still repaired: a single
+/// LFSR vector lets these planted errors escape detection, so the
+/// sweep comes back clean, yet `run` and `run_campaign` (one seed and
+/// two) must hand back a DUT whose every LUT function is golden's —
+/// a latent bug in a DUT reported repaired would poison the next
+/// campaign on it.
+#[test]
+fn escaped_errors_are_repaired_at_the_netlist_level() {
+    const SEEDS: [u64; 2] = [2, 7];
+    let td0 = implement_paper_design(PaperDesign::NineSym, TilingOptions::fast(10)).unwrap();
+    let golden = td0.netlist.clone();
+    fn session<'a>(td: &'a mut TiledDesign, golden: &'a netlist::Netlist) -> DebugSession<'a> {
+        DebugSession::new(td, golden)
+            .patterns(PatternSpec::Lfsr { count: 1 })
+            .seed(3)
+    }
+    let assert_golden = |td: &TiledDesign| {
+        for (id, cell) in golden.cells() {
+            let dut = td.netlist.cell(id).unwrap().lut_function();
+            assert_eq!(dut, cell.lut_function(), "cell {id} kept a planted bug");
+        }
+    };
+
+    let mut td = td0.clone();
+    let error = sim::inject::random_error(&mut td.netlist, SEEDS[0]).unwrap();
+    assert_ne!(error.buggy, error.original, "the planted error is real");
+    let out = session(&mut td, &golden).run(&error).unwrap();
+    assert!(out.mismatch.is_none(), "one vector exposed the error");
+    assert!(out.repaired);
+    assert_golden(&td);
+
+    for seeds in [&SEEDS[..1], &SEEDS[..]] {
+        let mut planted = td0.netlist.clone();
+        for e in sim::inject::random_distinct_errors(&mut planted, seeds).unwrap() {
+            assert_ne!(e.buggy, e.original, "the planted error is real");
+        }
+        let mut td = td0.clone();
+        let mut events: Vec<DebugEvent> = Vec::new();
+        let campaign = session(&mut td, &golden)
+            .on_event(|e| events.push(e.clone()))
+            .run_campaign(seeds)
+            .unwrap();
+        assert!(events.iter().any(|e| matches!(e, DebugEvent::CleanDesign)));
+        assert_eq!(campaign.iterations.len(), seeds.len());
+        for row in &campaign.iterations {
+            assert!(row.mismatch.is_none(), "one vector exposed an error");
+            assert!(row.repaired);
+        }
+        assert_golden(&td);
+    }
+}
